@@ -8,10 +8,10 @@ import (
 	"repro/internal/topology"
 )
 
-// TestStepFloodGenMatchesCSR: the generator-driven packed step must return
-// exactly what the CSR step returns — complete mask, changed mask,
-// informed count, and every (vertex, lane) bit — round for round, on both
-// the InArcs path (DigraphSource) and the OrGatherer fast path.
+// TestStepFloodGenMatchesCSR: the packed step over a generator must return
+// exactly what it returns over the lowered CSR — complete mask, changed
+// mask, informed count, and every (vertex, lane) bit — round for round, on
+// both the InArcs path (DigraphSource) and the OrGatherer fast path.
 func TestStepFloodGenMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	srcs := []struct {
@@ -44,11 +44,11 @@ func TestStepFloodGenMatchesCSR(t *testing.T) {
 				ref.Reset(sources)
 				got := NewPackedFrontier(n)
 				got.Reset(sources)
-				fg := graph.NewFloodGen(gen)
+				csFg, fg := graph.NewFloodGen(cs), graph.NewFloodGen(gen)
 
 				for round := 1; ; round++ {
-					wc, wch, wi := ref.StepFlood(cs)
-					gc, gch, gi := got.StepFloodGen(fg)
+					wc, wch, wi := floodRound(ref, &csFg)
+					gc, gch, gi := floodRound(got, &fg)
 					if gc != wc || gch != wch || gi != wi {
 						t.Fatalf("trial %d round %d: gen step (%x, %x, %d), CSR (%x, %x, %d)",
 							trial, round, gc, gch, gi, wc, wch, wi)
@@ -73,7 +73,7 @@ func TestStepFloodGenMatchesCSR(t *testing.T) {
 }
 
 // TestStepFloodGenRangeSharded: stepping a round as disjoint vertex-range
-// shards plus one CommitStep must equal the single-range step, with the
+// shards plus one CommitStep must equal the whole-range step, with the
 // round results AND/OR/sum-folded across shards.
 func TestStepFloodGenRangeSharded(t *testing.T) {
 	gen := topology.NewHypercubeGen(7)
@@ -85,17 +85,17 @@ func TestStepFloodGenRangeSharded(t *testing.T) {
 	got.Reset(sources)
 	refFg := graph.NewFloodGen(gen)
 	shards := []int{0, 13, 64, 65, 128} // uneven on purpose
-	fgs := make([]*graph.FloodGen, len(shards)-1)
+	fgs := make([]graph.FloodGen, len(shards)-1)
 	for i := range fgs {
 		fgs[i] = graph.NewFloodGen(gen)
 	}
 	for round := 1; ; round++ {
-		wc, wch, wi := ref.StepFloodGen(refFg)
+		wc, wch, wi := floodRound(ref, &refFg)
 		and := ^uint64(0)
 		var ch uint64
 		informed := 0
 		for i := 0; i+1 < len(shards); i++ {
-			a, c, inf := got.StepFloodGenRange(fgs[i], shards[i], shards[i+1])
+			a, c, inf := got.StepFloodRange(&fgs[i], shards[i], shards[i+1])
 			and &= a
 			ch |= c
 			informed += inf
@@ -112,40 +112,9 @@ func TestStepFloodGenRangeSharded(t *testing.T) {
 	}
 }
 
-// TestStepGenMatchesStep: the scalar generator step must match the scalar
-// arc-slice step round for round, vertex for vertex.
-func TestStepGenMatchesStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 12; trial++ {
-		n := 2 + rng.Intn(120)
-		g := randDigraph(rng, n, rng.Intn(2*n))
-		gen := graph.NewDigraphSource(g)
-		flood := g.LowerFlood().Arcs()
-		fg := graph.NewFloodGen(gen)
-		source := rng.Intn(n)
-		ref := NewFrontierState(n, source)
-		got := NewFrontierState(n, source)
-		for round := 1; round <= n+1; round++ {
-			wg := ref.Step(flood)
-			gg := got.StepGen(fg)
-			if gg != wg || got.InformedCount() != ref.InformedCount() {
-				t.Fatalf("trial %d round %d: gen gained %d (know %d), ref gained %d (know %d)",
-					trial, round, gg, got.InformedCount(), wg, ref.InformedCount())
-			}
-			for v := 0; v < n; v++ {
-				if got.Informed(v) != ref.Informed(v) {
-					t.Fatalf("trial %d round %d: vertex %d diverged", trial, round, v)
-				}
-			}
-			if wg == 0 {
-				break
-			}
-		}
-	}
-}
-
-// TestStepGenZeroAlloc pins the generator steps' zero-allocation contract
-// at runtime (gossipvet hotalloc enforces it statically).
+// TestStepGenZeroAlloc pins the packed step's zero-allocation contract
+// over generator sources at runtime, on the OrGatherer fast path and the
+// InArcs fallback (gossipvet hotalloc enforces it statically).
 func TestStepGenZeroAlloc(t *testing.T) {
 	gen := topology.NewHypercubeGen(8)
 	n := gen.N()
@@ -157,21 +126,15 @@ func TestStepGenZeroAlloc(t *testing.T) {
 	}
 	pf.Reset(sources)
 	if allocs := testing.AllocsPerRun(100, func() {
-		pf.StepFloodGen(fg)
+		floodRound(pf, &fg)
 	}); allocs != 0 {
-		t.Fatalf("StepFloodGen allocated %.1f times per step, want 0", allocs)
+		t.Fatalf("StepFloodRange over the generator allocated %.1f times per step, want 0", allocs)
 	}
 	// The InArcs slow path, via a wrapped digraph.
 	slow := graph.NewFloodGen(graph.NewDigraphSource(graph.MaterializeSource(gen)))
 	if allocs := testing.AllocsPerRun(100, func() {
-		pf.StepFloodGen(slow)
+		floodRound(pf, &slow)
 	}); allocs != 0 {
-		t.Fatalf("StepFloodGen (InArcs path) allocated %.1f times per step, want 0", allocs)
-	}
-	fs := NewFrontierState(n, 0)
-	if allocs := testing.AllocsPerRun(100, func() {
-		fs.StepGen(fg)
-	}); allocs != 0 {
-		t.Fatalf("StepGen allocated %.1f times per step, want 0", allocs)
+		t.Fatalf("StepFloodRange (InArcs path) allocated %.1f times per step, want 0", allocs)
 	}
 }

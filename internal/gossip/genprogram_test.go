@@ -141,9 +141,31 @@ func TestStepGenProgramMatchesStepProgram(t *testing.T) {
 	}
 }
 
-// TestPackedStepGenProgramMatchesScalar pins the packed 64-lane step (and
-// its sharded range form) against the scalar frontier walk: lane l of the
-// packed frontier must trace the broadcast from source l exactly.
+// programRound presents round r of a generator-compiled schedule as a
+// flooding source: a destination's only in-arc comes from its sender, if
+// it has one. A program round is a flooding round over its sender arcs —
+// an arc sender → v informs v iff sender was informed at the beginning of
+// the round — so the packed flood kernel steps 64 broadcasts of the
+// program at once through this adapter.
+type programRound struct {
+	g *GenProgram
+	r int
+}
+
+func (p *programRound) N() int        { return p.g.N() }
+func (p *programRound) DegBound() int { return 1 }
+func (p *programRound) InArcs(v int, buf []int32) int {
+	if s := p.g.rs.Sender(p.r, v); s >= 0 {
+		buf[0] = int32(s)
+		return 1
+	}
+	return 0
+}
+
+// TestPackedStepGenProgramMatchesScalar pins the packed 64-lane flood
+// kernel over a program's rounds (and its sharded range form) against the
+// scalar StepGenProgram walk: lane l of the packed frontier must trace the
+// broadcast from source l exactly.
 func TestPackedStepGenProgramMatchesScalar(t *testing.T) {
 	for _, tc := range genProgCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,18 +181,21 @@ func TestPackedStepGenProgramMatchesScalar(t *testing.T) {
 				scalars[l] = NewFrontierState(n, src)
 			}
 			run := NewGenRun(gen)
-			sruns := []*GenRun{NewGenRun(gen), NewGenRun(gen), NewGenRun(gen)}
+			round := &programRound{g: gen}
+			fg := graph.NewFloodGen(round)
+			sfgs := []graph.FloodGen{graph.NewFloodGen(round), graph.NewFloodGen(round), graph.NewFloodGen(round)}
 			pf := NewPackedFrontier(n)
 			pf.Reset(sources)
 			sharded := NewPackedFrontier(n)
 			sharded.Reset(sources)
 			for i := 0; i < 3*gen.Period()+3; i++ {
-				_, _, informed := pf.StepGenProgram(run, i)
+				round.r = i % gen.Period()
+				_, _, informed := floodRound(pf, &fg)
 				// Sharded: three uneven ranges, then one commit.
 				var sInformed int
 				cuts := []int{0, n / 3, n / 2, n}
 				for s := 0; s+1 < len(cuts); s++ {
-					_, _, inf := sharded.StepGenProgramRange(sruns[s], i, cuts[s], cuts[s+1])
+					_, _, inf := sharded.StepFloodRange(&sfgs[s], cuts[s], cuts[s+1])
 					sInformed += inf
 				}
 				sharded.CommitStep()
@@ -212,15 +237,6 @@ func TestStepGenProgramAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("FrontierState.StepGenProgram allocates %.1f per step", avg)
 	}
-	pf := NewPackedFrontier(n)
-	pf.Reset([]int{0, 1, 2})
-	round = 0
-	if avg := testing.AllocsPerRun(100, func() {
-		pf.StepGenProgram(run, round)
-		round++
-	}); avg != 0 {
-		t.Errorf("PackedFrontier.StepGenProgram allocates %.1f per step", avg)
-	}
 }
 
 // TestGenProgramRoundArcs cross-checks the streamed arc counts against the
@@ -242,13 +258,13 @@ func TestGenProgramRoundArcs(t *testing.T) {
 	}
 }
 
-// TestPackedStepGenProgramWorkerShards runs the range-sharded step the way
-// the worker pool does — one goroutine per worker on disjoint vertex
-// ranges, a join, then CommitStep — for every worker count 1..8, and
-// demands the informed counts match the single-worker step round for
-// round. Under -race this pins the concurrency contract of
-// StepGenProgramRange (per-worker GenRun scratch, disjoint destination
-// ranges, commit after the join).
+// TestPackedStepGenProgramWorkerShards runs the range-sharded flood step
+// over a program's rounds the way the scan pool does — one goroutine per
+// worker on disjoint vertex ranges, a join, then CommitStep — for every
+// worker count 1..8, and demands the informed counts match the
+// single-worker step round for round. Under -race this pins the
+// concurrency contract of StepFloodRange (per-worker FloodGen scratch,
+// disjoint destination ranges, commit after the join).
 func TestPackedStepGenProgramWorkerShards(t *testing.T) {
 	for _, tc := range genProgCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -259,18 +275,20 @@ func TestPackedStepGenProgramWorkerShards(t *testing.T) {
 			for l := range sources {
 				sources[l] = (l * 5) % n
 			}
+			round := &programRound{g: gen}
 			serial := NewPackedFrontier(n)
-			srun := NewGenRun(gen)
+			sfg := graph.NewFloodGen(round)
 			for workers := 1; workers <= 8; workers++ {
 				serial.Reset(sources)
 				pf := NewPackedFrontier(n)
 				pf.Reset(sources)
-				runs := make([]*GenRun, workers)
-				for w := range runs {
-					runs[w] = NewGenRun(gen)
+				fgs := make([]graph.FloodGen, workers)
+				for w := range fgs {
+					fgs[w] = graph.NewFloodGen(round)
 				}
 				for i := 0; i < 2*gen.Period()+2; i++ {
-					_, _, want := serial.StepGenProgram(srun, i)
+					round.r = i % gen.Period()
+					_, _, want := floodRound(serial, &sfg)
 					informed := make([]int, workers)
 					var wg sync.WaitGroup
 					for w := 0; w < workers; w++ {
@@ -278,7 +296,7 @@ func TestPackedStepGenProgramWorkerShards(t *testing.T) {
 						wg.Add(1)
 						go func(w, lo, hi int) {
 							defer wg.Done()
-							_, _, inf := pf.StepGenProgramRange(runs[w], i, lo, hi)
+							_, _, inf := pf.StepFloodRange(&fgs[w], lo, hi)
 							informed[w] = inf
 						}(w, lo, hi)
 					}

@@ -17,8 +17,8 @@ const PackedLanes = 64
 // into every vertex word, advancing up to 64 independent broadcasts at
 // once — the exchange op is the same OR whether a word carries one
 // source's frontier or sixty-four. The two buffers double-buffer the
-// round, so a step reads only beginning-of-round state; StepFlood performs
-// zero allocations.
+// round, so a step reads only beginning-of-round state; StepFloodRange
+// performs zero allocations.
 type PackedFrontier struct {
 	n     int
 	lanes int
@@ -66,42 +66,70 @@ func (f *PackedFrontier) Full() uint64 { return f.full }
 // Informed reports whether vertex v is informed in lane s.
 func (f *PackedFrontier) Informed(v, lane int) bool { return f.cur[v]&(1<<lane) != 0 }
 
-// StepFlood advances every lane one flooding round over the lowered
-// schedule: each vertex word ORs in the beginning-of-round words of its
-// in-neighbors. It returns the lanes whose source now reaches every
-// vertex (complete), the lanes that informed at least one new vertex this
-// round (changed — a lane absent from both masks has hit its reachable
-// fixpoint and can never complete), and the total informed (vertex, lane)
-// pairs, the popcount column sum scan progress traces report. The walk is
-// destination-major — sequential writes, per-vertex gathers — with the
-// gather unrolled to 64 bytes (8 words) per iteration so the OR-tree keeps
-// all 8 loads in flight and auto-vectorizes.
+// StepFloodRange computes the next-round words for destinations [lo, hi)
+// of one flooding round over fg's source — the CSR lowering or a
+// generator: each vertex word ORs in the beginning-of-round words of its
+// in-neighbors. A serial step is the range [0, n); shards of one round
+// partition [0, n) across workers (disjoint writes to the next buffer,
+// read-only current buffer), each with its own FloodGen. When every range
+// has returned, exactly one caller must CommitStep.
+//
+// It returns the AND of the range's words, the lanes that informed at
+// least one new vertex in the range (changed) and the range's informed
+// (vertex, lane) pairs. The round's results are the AND / OR / sum over
+// its ranges; masked by Full, the AND is the lanes whose source now
+// reaches every vertex (complete), a lane absent from both complete and
+// changed has hit its reachable fixpoint and can never complete, and the
+// informed sum is the popcount column total scan progress traces report.
+//
+// The walk is destination-major in GenChunkVerts chunks. On the
+// OrGatherer fast path the source folds the current words over each
+// chunk's in-neighborhoods straight into the next buffer — one interface
+// call per chunk, no neighbor ids in memory; otherwise each destination
+// gathers through the FloodGen's arc buffer.
 //
 //gossip:hotpath
-func (f *PackedFrontier) StepFlood(cs *graph.FloodCSR) (complete, changed uint64, informed int) {
+func (f *PackedFrontier) StepFloodRange(fg *graph.FloodGen, lo, hi int) (and, changed uint64, informed int) {
 	cur, nxt := f.cur, f.next
-	indptr, src := cs.Indptr, cs.Src
-	all := ^uint64(0)
-	var ch uint64
-	count := 0
-	for v := range nxt {
+	and = ^uint64(0)
+	if og := fg.Gatherer(); og != nil {
+		for clo := lo; clo < hi; clo += graph.GenChunkVerts {
+			chi := min(clo+graph.GenChunkVerts, hi)
+			out := nxt[clo:chi]
+			og.OrInChunk(clo, chi, cur, out)
+			for j, in := range out {
+				pv := cur[clo+j]
+				w := pv | in
+				out[j] = w
+				changed |= w ^ pv
+				and &= w
+				informed += bits.OnesCount64(w)
+			}
+		}
+		return and, changed, informed
+	}
+	src := fg.Src()
+	buf := fg.ArcBuf()
+	for v := lo; v < hi; v++ {
 		pv := cur[v]
 		w := pv
-		s, e := int(indptr[v]), int(indptr[v+1])
-		for ; e-s >= 8; s += 8 {
-			w |= cur[src[s]] | cur[src[s+1]] | cur[src[s+2]] | cur[src[s+3]] |
-				cur[src[s+4]] | cur[src[s+5]] | cur[src[s+6]] | cur[src[s+7]]
-		}
-		for ; s < e; s++ {
-			w |= cur[src[s]]
+		k := src.InArcs(v, buf)
+		for i := 0; i < k; i++ {
+			w |= cur[buf[i]]
 		}
 		nxt[v] = w
-		ch |= w ^ pv
-		all &= w
-		count += bits.OnesCount64(w)
+		changed |= w ^ pv
+		and &= w
+		informed += bits.OnesCount64(w)
 	}
-	f.cur, f.next = nxt, cur
-	return all & f.full, ch & f.full, count
+	return and, changed, informed
+}
+
+// CommitStep publishes a round stepped through StepFloodRange by swapping
+// the buffers. Every vertex must have been covered by exactly one range
+// since the last commit.
+func (f *PackedFrontier) CommitStep() {
+	f.cur, f.next = f.next, f.cur
 }
 
 // InformedCount returns the current informed (vertex, lane) column count.

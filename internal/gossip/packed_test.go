@@ -24,6 +24,15 @@ func randDigraph(rng *rand.Rand, n, extra int) *graph.Digraph {
 	return g
 }
 
+// floodRound steps pf one whole flooding round over fg: the serial range
+// [0, n) plus the commit, with the round results masked to the active
+// lanes.
+func floodRound(pf *PackedFrontier, fg *graph.FloodGen) (complete, changed uint64, informed int) {
+	and, ch, informed := pf.StepFloodRange(fg, 0, pf.n)
+	pf.CommitStep()
+	return and & pf.Full(), ch & pf.Full(), informed
+}
+
 // TestPackedFloodMatchesFrontier: a packed pass over the lowered flooding
 // schedule must track 64 independent scalar frontier floods bit for bit —
 // per round, per vertex, per lane — including the complete and changed
@@ -34,6 +43,7 @@ func TestPackedFloodMatchesFrontier(t *testing.T) {
 		n := 2 + rng.Intn(150)
 		g := randDigraph(rng, n, rng.Intn(3*n))
 		cs := g.LowerFlood()
+		fg := graph.NewFloodGen(cs)
 		flood := cs.Arcs()
 
 		lanes := 1 + rng.Intn(PackedLanes)
@@ -56,7 +66,7 @@ func TestPackedFloodMatchesFrontier(t *testing.T) {
 		}
 
 		for round := 1; round <= n+1; round++ {
-			complete, changed, informed := pf.StepFlood(cs)
+			complete, changed, informed := floodRound(pf, &fg)
 			var wantComplete, wantChanged uint64
 			wantInformed := 0
 			for i, ref := range refs {
@@ -103,12 +113,12 @@ func TestPackedFloodMatchesFrontier(t *testing.T) {
 // stale knowledge cleared.
 func TestPackedFrontierReset(t *testing.T) {
 	g := randDigraph(rand.New(rand.NewSource(1)), 40, 60)
-	cs := g.LowerFlood()
+	fg := graph.NewFloodGen(g.LowerFlood())
 	pf := NewPackedFrontier(40)
 
 	pf.Reset([]int{0, 1, 2, 3, 4, 5, 6, 7})
 	for pf.CompleteMask() != pf.Full() {
-		if _, changed, _ := pf.StepFlood(cs); changed == 0 {
+		if _, changed, _ := floodRound(pf, &fg); changed == 0 {
 			t.Fatal("first batch stalled on a cycle-bearing digraph")
 		}
 	}
@@ -128,7 +138,7 @@ func TestPackedFrontierReset(t *testing.T) {
 	}
 	// Both lanes flood identically from vertex 9.
 	for {
-		complete, changed, _ := pf.StepFlood(cs)
+		complete, changed, _ := floodRound(pf, &fg)
 		if b0, b1 := complete&1 != 0, complete&2 != 0; b0 != b1 {
 			t.Fatal("duplicate-source lanes diverged")
 		}
@@ -139,11 +149,12 @@ func TestPackedFrontierReset(t *testing.T) {
 }
 
 // TestPackedStepZeroAlloc pins the packed step's zero-allocation contract
-// (the gossipvet hotalloc analyzer enforces it statically; this pins the
-// runtime behavior).
+// over the lowered CSR (the gossipvet hotalloc analyzer enforces it
+// statically; this pins the runtime behavior). TestStepGenZeroAlloc pins
+// the generator sources.
 func TestPackedStepZeroAlloc(t *testing.T) {
 	g := randDigraph(rand.New(rand.NewSource(2)), 256, 512)
-	cs := g.LowerFlood()
+	fg := graph.NewFloodGen(g.LowerFlood())
 	pf := NewPackedFrontier(256)
 	sources := make([]int, PackedLanes)
 	for i := range sources {
@@ -151,10 +162,10 @@ func TestPackedStepZeroAlloc(t *testing.T) {
 	}
 	pf.Reset(sources)
 	allocs := testing.AllocsPerRun(100, func() {
-		pf.StepFlood(cs)
+		floodRound(pf, &fg)
 	})
 	if allocs != 0 {
-		t.Fatalf("StepFlood allocated %.1f times per step, want 0", allocs)
+		t.Fatalf("StepFloodRange over the CSR allocated %.1f times per step, want 0", allocs)
 	}
 }
 
@@ -163,7 +174,7 @@ func TestPackedStepZeroAlloc(t *testing.T) {
 // of its source — the semantic content of the flooding schedule.
 func TestPackedCompletionRoundsAreEccentricities(t *testing.T) {
 	g := randDigraph(rand.New(rand.NewSource(3)), 70, 140)
-	cs := g.LowerFlood()
+	fg := graph.NewFloodGen(g.LowerFlood())
 	sources := make([]int, 64)
 	for i := range sources {
 		sources[i] = i
@@ -173,7 +184,7 @@ func TestPackedCompletionRoundsAreEccentricities(t *testing.T) {
 	completeAt := make([]int, 64)
 	var done uint64
 	for round := 1; done != pf.Full(); round++ {
-		complete, changed, _ := pf.StepFlood(cs)
+		complete, changed, _ := floodRound(pf, &fg)
 		for m := complete &^ done; m != 0; m &= m - 1 {
 			completeAt[bits.TrailingZeros64(m)] = round
 		}

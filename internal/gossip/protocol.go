@@ -14,6 +14,11 @@
 // with Step — which remains available for ad-hoc arc sets. Simulate,
 // SimulateBroadcast and CompletionCertificate compile on entry, so one-shot
 // callers get the compiled hot path for free.
+//
+// Flooding, whose round never changes, needs no IR: one packed kernel,
+// PackedFrontier.StepFloodRange, steps 64 broadcast sources at once over a
+// graph.FloodSource — the lowered flooding CSR or an arithmetic generator
+// — serially as the range [0, n) or sharded by vertex range.
 package gossip
 
 import (

@@ -34,7 +34,7 @@ type State struct {
 	know   int64   // sum of counts
 	full   int64   // vertices with counts == items
 
-	pool *Pool // optional sharded stepping; nil means serial
+	pool *Pool // optional sharded StepProgram; nil means serial
 }
 
 func newState(n, items int) *State {
@@ -77,8 +77,9 @@ func NewBroadcastState(n, source int) *State {
 	return s
 }
 
-// UsePool shards subsequent Steps across the pool's workers; passing nil
-// reverts to serial stepping. Results are identical either way.
+// UsePool shards subsequent StepProgram calls across the pool's workers;
+// passing nil reverts to serial stepping. Results are identical either
+// way. Step on raw arcs, the serial reference interpreter, ignores it.
 func (s *State) UsePool(p *Pool) { s.pool = p }
 
 // Reset returns a gossip state (one built by NewState) to its initial
@@ -127,10 +128,6 @@ func (s *State) TotalKnowledge() int { return int(s.know) }
 // into the shadow buffer before any merge, so opposite arcs exchange the
 // beginning-of-round sets as the model requires.
 func (s *State) Step(round []graph.Arc) {
-	if s.pool != nil {
-		s.pool.step(s, round)
-		return
-	}
 	w := s.words
 	for _, a := range round {
 		o := a.From * w
@@ -148,8 +145,7 @@ func (s *State) Step(round []graph.Arc) {
 // recv merges the beginning-of-round set of a.From into a.To and updates
 // the per-vertex count. It returns the number of newly learned items and
 // whether a.To just reached full knowledge. Callers own the aggregation of
-// the returns into know/full (serial directly, sharded via atomics) —
-// counts[a.To] itself is only ever touched by a.To's owner.
+// the returns into know/full.
 func (s *State) recv(a graph.Arc) (gained int, becameFull bool) {
 	w := s.words
 	src := s.prev[a.From*w : a.From*w+w]

@@ -1,9 +1,10 @@
 // Hot-path benchmarks and invariants for the flat double-buffered gossip
-// core: Step must not allocate in steady state, the sharded Step must be
-// byte-identical to the serial one, and the packed frontier backend must
-// agree with the full bitset state on broadcasts. The benchmarks live in an
-// external test package so they can drive the core through real protocols
-// (importing repro/internal/protocols from package gossip would cycle).
+// core: Step must not allocate in steady state, the sharded StepProgram
+// must be byte-identical to the serial Step, and the packed frontier
+// backend must agree with the full bitset state on broadcasts. The
+// benchmarks live in an external test package so they can drive the core
+// through real protocols (importing repro/internal/protocols from package
+// gossip would cycle).
 package gossip_test
 
 import (
@@ -23,23 +24,6 @@ func BenchmarkStep(b *testing.B) {
 	db := topology.NewDeBruijn(2, 12)
 	p := protocols.PeriodicHalfDuplex(db.G)
 	st := gossip.NewState(db.G.N())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Step(p.Round(i))
-	}
-}
-
-// BenchmarkStepSharded is BenchmarkStep with the worker pool attached —
-// the configuration the engine selects above its shard threshold. Compare
-// with BenchmarkStep to see the speedup on ≥4096-vertex instances.
-func BenchmarkStepSharded(b *testing.B) {
-	db := topology.NewDeBruijn(2, 12)
-	p := protocols.PeriodicHalfDuplex(db.G)
-	st := gossip.NewState(db.G.N())
-	pool := gossip.NewPool(runtime.GOMAXPROCS(0))
-	defer pool.Close()
-	st.UsePool(pool)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -154,8 +138,8 @@ func BenchmarkFrontierStep(b *testing.B) {
 	}
 }
 
-// TestStepZeroAlloc pins the satellite requirement: a steady-state Step
-// performs zero allocations (serial and sharded alike).
+// TestStepZeroAlloc pins that a steady-state Step performs zero
+// allocations (TestCompiledStepZeroAlloc pins the sharded StepProgram).
 func TestStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -171,22 +155,11 @@ func TestStepZeroAlloc(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("serial Step allocates %v objects per round, want 0", got)
 	}
-
-	sharded := gossip.NewState(db.G.N())
-	pool := gossip.NewPool(4)
-	defer pool.Close()
-	sharded.UsePool(pool)
-	r = 0
-	if got := testing.AllocsPerRun(50, func() {
-		sharded.Step(p.Round(r))
-		r++
-	}); got != 0 {
-		t.Errorf("sharded Step allocates %v objects per round, want 0", got)
-	}
 }
 
-// TestShardedStepMatchesSerial: the sharded core is byte-identical to the
-// serial one after every round, for worker counts 1..8.
+// TestShardedStepMatchesSerial: the sharded core — StepProgram on a pool —
+// is byte-identical to the serial reference Step after every round, for
+// worker counts 1..8.
 func TestShardedStepMatchesSerial(t *testing.T) {
 	db := topology.NewDeBruijn(2, 7)
 	p := protocols.PeriodicHalfDuplex(db.G)
@@ -199,12 +172,16 @@ func TestShardedStepMatchesSerial(t *testing.T) {
 		serialDumps = append(serialDumps, serial.Export())
 	}
 
+	prog, err := gossip.Compile(p, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for workers := 1; workers <= 8; workers++ {
 		pool := gossip.NewPool(workers)
 		st := gossip.NewState(n)
 		st.UsePool(pool)
 		for r := 0; r < len(serialDumps); r++ {
-			st.Step(p.Round(r))
+			st.StepProgram(prog, r)
 			if !bytes.Equal(st.Export(), serialDumps[r]) {
 				t.Fatalf("workers=%d: state diverged from serial at round %d", workers, r+1)
 			}

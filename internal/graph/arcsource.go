@@ -18,78 +18,88 @@ package graph
 // //gossip:hotpath; per-vertex scratch lives in fixed-size local arrays or
 // in the caller's buffers).
 type ArcSource interface {
-	// N returns the number of vertices.
-	N() int
-	// DegBound returns an upper bound on any vertex's in- or out-degree —
-	// the capacity scans size their per-vertex arc buffers with.
-	DegBound() int
+	FloodSource
 	// OutArcs writes the out-neighbors of v into buf and returns the count.
 	OutArcs(v int, buf []int32) int
+}
+
+// FloodSource is what the packed flooding kernel reads from an arc source:
+// the vertex count, the in-neighbor lists and their degree bound, plus the
+// OrGatherer fast path when the source implements it. Every ArcSource is a
+// FloodSource, and so is the lowered FloodCSR — the kernel walks computed
+// and materialized arcs through the one seam.
+type FloodSource interface {
+	// N returns the number of vertices.
+	N() int
+	// DegBound returns an upper bound on any vertex's in-degree (an
+	// ArcSource bounds its out-degrees too) — the capacity scans size
+	// their per-vertex arc buffers with.
+	DegBound() int
 	// InArcs writes the in-neighbors of v into buf and returns the count.
 	InArcs(v int, buf []int32) int
 }
 
-// OrGatherer is the optional fast path of the streaming flood kernel: a
-// generator that implements it OR-folds a word table over in-neighborhoods
+// OrGatherer is the optional fast path of the packed flood kernel: a
+// source that implements it OR-folds a word table over in-neighborhoods
 // itself, one chunk of destinations per call, replacing the per-vertex
-// InArcs round trip with a topology-specialized inner loop (a hypercube
-// chunk is D xors and D loads per vertex — no neighbor ids ever touch
-// memory, which is how the generator path reaches parity with the packed
-// CSR kernel).
+// InArcs round trip with a specialized inner loop (a hypercube chunk is D
+// xors and D loads per vertex — no neighbor ids ever touch memory, which
+// is how a generator reaches parity with the lowered CSR, itself an
+// OrGatherer).
 type OrGatherer interface {
 	// OrInChunk writes, for each destination v in [lo, hi), the OR of
 	// table[u] over v's in-neighbors u into out[v-lo]. It must not read or
 	// write table[v] into the fold unless v is its own in-neighbor (it
 	// never is: ArcSource lists exclude self-loops), must not allocate,
-	// and must be safe for concurrent use on disjoint chunks.
+	// and must be safe for concurrent use on disjoint chunks. out never
+	// aliases table: the packed kernel passes the chunk of its next-round
+	// buffer.
 	OrInChunk(lo, hi int, table, out []uint64)
 }
 
-// GenChunkVerts is the number of destination vertices a streaming flood
-// step processes per generator call on the OrGatherer fast path: large
-// enough to amortize the interface dispatch to nothing, small enough that
-// the chunk's out words stay L1-resident.
+// GenChunkVerts is the number of destination vertices a flooding step
+// processes per OrInChunk call on the OrGatherer fast path: large enough to
+// amortize the interface dispatch to nothing, small enough that the
+// chunk's out words stay L1-resident.
 const GenChunkVerts = 4096
 
-// FloodGen is the streaming lowering of the flooding schedule over an
-// ArcSource: the generator-backed counterpart of LowerFlood that never
-// materializes a CSR. It owns the fixed per-worker scratch the generator
-// kernels walk arcs through — one FloodGen per worker; the underlying
-// ArcSource is shared.
+// FloodGen is the flooding schedule over a FloodSource — an arithmetic
+// generator, the lowered FloodCSR, or any ArcSource — as the packed
+// kernel walks it. It owns the per-worker scratch of the InArcs fallback
+// (sources without an OrGatherer fast path): one FloodGen per worker; the
+// underlying source is shared. It is a small value, so a worker keeps its
+// own on the stack or inside its shard state and hands the kernel its
+// address.
 type FloodGen struct {
-	src ArcSource
+	src FloodSource
 	og  OrGatherer // non-nil when src implements the fast path
-	buf []int32    // per-vertex neighbor scratch, DegBound capacity
-	or  []uint64   // per-chunk OR scratch for the gatherer path
+	buf []int32    // per-vertex neighbor scratch, DegBound capacity; nil on the fast path
 }
 
-// NewFloodGen returns a worker-private streaming lowering over src,
-// allocating its fixed scratch once (the subsequent stepping performs zero
+// NewFloodGen returns a worker-private walk over src, allocating the
+// fallback scratch once (the subsequent stepping performs zero
 // allocations).
-func NewFloodGen(src ArcSource) *FloodGen {
-	fg := &FloodGen{src: src, buf: make([]int32, src.DegBound())}
-	if og, ok := src.(OrGatherer); ok {
-		fg.og = og
-		fg.or = make([]uint64, GenChunkVerts)
+func NewFloodGen(src FloodSource) FloodGen {
+	og, _ := src.(OrGatherer)
+	fg := FloodGen{src: src, og: og}
+	if og == nil {
+		fg.buf = make([]int32, src.DegBound())
 	}
 	return fg
 }
 
-// Src returns the underlying generator.
-func (fg *FloodGen) Src() ArcSource { return fg.src }
+// Src returns the underlying source.
+func (fg *FloodGen) Src() FloodSource { return fg.src }
 
-// N returns the vertex count of the underlying generator.
+// N returns the vertex count of the underlying source.
 func (fg *FloodGen) N() int { return fg.src.N() }
 
-// Gatherer returns the generator's OrGatherer fast path, or nil.
+// Gatherer returns the source's OrGatherer fast path, or nil.
 func (fg *FloodGen) Gatherer() OrGatherer { return fg.og }
 
-// ArcBuf returns the per-vertex neighbor scratch (DegBound capacity).
+// ArcBuf returns the per-vertex neighbor scratch (DegBound capacity); nil
+// when the source has the OrGatherer fast path.
 func (fg *FloodGen) ArcBuf() []int32 { return fg.buf }
-
-// OrBuf returns the per-chunk OR scratch (GenChunkVerts words); nil when
-// the generator has no OrGatherer fast path.
-func (fg *FloodGen) OrBuf() []uint64 { return fg.or }
 
 // DigraphSource adapts a materialized Digraph to the ArcSource interface —
 // the reference generator differential tests pin arithmetic generators

@@ -74,7 +74,7 @@ func TestNewFloodGenScratch(t *testing.T) {
 	g := sampleDigraph()
 	src := NewDigraphSource(g)
 	fg := NewFloodGen(src)
-	if fg.Src() != ArcSource(src) {
+	if fg.Src() != FloodSource(src) {
 		t.Fatal("Src: wrong generator")
 	}
 	if fg.N() != g.N() {
@@ -84,7 +84,7 @@ func TestNewFloodGenScratch(t *testing.T) {
 		t.Fatalf("ArcBuf: len %d want %d", len(fg.ArcBuf()), src.DegBound())
 	}
 	// DigraphSource has no OrGatherer fast path.
-	if fg.Gatherer() != nil || fg.OrBuf() != nil {
+	if fg.Gatherer() != nil {
 		t.Fatal("DigraphSource must not advertise an OrGatherer fast path")
 	}
 }
@@ -111,8 +111,8 @@ func TestNewFloodGenGathererPath(t *testing.T) {
 	if fg.Gatherer() == nil {
 		t.Fatal("OrGatherer implementation not detected")
 	}
-	if len(fg.OrBuf()) != GenChunkVerts {
-		t.Fatalf("OrBuf: len %d want %d", len(fg.OrBuf()), GenChunkVerts)
+	if fg.ArcBuf() != nil {
+		t.Fatalf("ArcBuf: len %d on the fast path, want no fallback scratch", len(fg.ArcBuf()))
 	}
 	table := []uint64{1, 2, 4, 8, 16, 32}
 	out := make([]uint64, 6)
@@ -122,6 +122,51 @@ func TestNewFloodGenGathererPath(t *testing.T) {
 	for v, w := range want {
 		if out[v] != w {
 			t.Errorf("OrInChunk vertex %d: got %d want %d", v, out[v], w)
+		}
+	}
+}
+
+// TestFloodCSRSource: the lowered flooding CSR is a FloodSource with the
+// OrGatherer fast path, and both of its walks agree with the adjacency it
+// was lowered from — a wide vertex exercises the 8-word unrolled gather.
+func TestFloodCSRSource(t *testing.T) {
+	g := New(12)
+	for u := 1; u < 12; u++ {
+		g.AddArc(u, 0) // in-degree 11: one unrolled block plus a tail
+		g.AddArc(0, u)
+	}
+	g.AddArc(3, 7)
+	cs := g.LowerFlood()
+	fg := NewFloodGen(cs)
+	if fg.Gatherer() == nil || fg.ArcBuf() != nil {
+		t.Fatal("FloodCSR must take the OrGatherer fast path without fallback scratch")
+	}
+	if cs.N() != 12 || cs.DegBound() != 11 {
+		t.Fatalf("N %d DegBound %d, want 12 and 11", cs.N(), cs.DegBound())
+	}
+	table := make([]uint64, 12)
+	for v := range table {
+		table[v] = 1 << v
+	}
+	out := make([]uint64, 12)
+	cs.OrInChunk(0, 12, table, out)
+	buf := make([]int32, cs.DegBound())
+	for v := 0; v < 12; v++ {
+		var want uint64
+		for _, u := range g.In(v) {
+			want |= table[u]
+		}
+		if out[v] != want {
+			t.Errorf("OrInChunk vertex %d: got %b want %b", v, out[v], want)
+		}
+		k := cs.InArcs(v, buf)
+		if k != len(g.In(v)) {
+			t.Fatalf("InArcs(%d): %d arcs, want %d", v, k, len(g.In(v)))
+		}
+		for i, u := range buf[:k] {
+			if int(u) != g.In(v)[i] {
+				t.Errorf("InArcs(%d)[%d] = %d, want %d", v, i, u, g.In(v)[i])
+			}
 		}
 	}
 }

@@ -123,14 +123,11 @@ type BroadcastAllReport struct {
 // source of the network (or the WithSources subset) in one scan.
 //
 // Flooding is source-independent — the same "every arc, every round"
-// schedule serves all sources — so it lowers once (graph.LowerFlood) into
-// a destination-major CSR, and the scan packs up to 64 sources into the 64
-// bits of each knowledge word and steps them simultaneously through the
-// compiled schedule (gossip.PackedFrontier): ⌈sources/64⌉ passes replace
-// the per-source loop, batches run in parallel across WithWorkers workers,
-// and per-bit completion tracking recovers every source's exact round
-// count. WithScalarScan forces the scalar per-source reference kernel,
-// which produces byte-identical reports and errors.
+// schedule serves all sources — so the scan packs up to 64 sources into
+// the 64 bits of each knowledge word and steps them simultaneously
+// (gossip.PackedFrontier): ⌈sources/64⌉ passes replace the per-source
+// loop, batches run in parallel across WithWorkers workers, and per-bit
+// completion tracking recovers every source's exact round count.
 //
 // Note this deliberately measures a different schedule than the
 // single-source AnalyzeBroadcast, which builds a per-source BFS-tree
@@ -142,20 +139,21 @@ type BroadcastAllReport struct {
 // with ErrIncomplete; a source that cannot reach every vertex aborts it
 // with ErrUnreachable (raising the budget cannot help).
 //
-// Networks carrying a generator can be scanned without the CSR lowering:
-// the streaming kernels compute arcs on the fly and touch only O(n)
-// frontier memory. The scan picks them automatically for implicit
-// networks, for generator-backed networks above DefaultImplicitScanNodes,
-// and when the CSR would not fit a WithMaxMemory cap; WithImplicitScan
-// forces them. Reports and errors are byte-identical across all four
-// kernels (CSR/generator × packed/scalar).
+// The one packed kernel walks an arc source: the flooding schedule lowered
+// once into a destination-major CSR (graph.LowerFlood), or — on networks
+// carrying a generator — arcs computed on the fly, touching only O(n)
+// frontier memory. The scan streams the generator automatically for
+// implicit networks, for generator-backed networks above
+// DefaultImplicitScanNodes, and when the CSR would not fit a WithMaxMemory
+// cap; WithImplicitScan forces it. Reports and errors are byte-identical
+// across arc sources and worker counts.
 func AnalyzeBroadcastAll(ctx context.Context, net *Network, opts ...Option) (*BroadcastAllReport, error) {
 	cfg := newConfig(opts)
 	sources, explicit, err := scanSources(net, cfg.sources)
 	if err != nil {
 		return nil, err
 	}
-	useGen, err := pickScanKernel(net, len(sources), cfg)
+	useGen, err := pickScanSource(net, len(sources), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -163,32 +161,24 @@ func AnalyzeBroadcastAll(ctx context.Context, net *Network, opts ...Option) (*Br
 	if explicit {
 		rep.Sources = sources
 	}
-	switch {
-	case useGen && cfg.scalarScan:
-		fg := graph.NewFloodGen(net.Gen)
-		err = scalarScan(ctx, net, func(fr *gossip.FrontierState) int { return fr.StepGen(fg) }, sources, rep.Rounds, cfg)
-	case useGen:
-		err = packedScanGen(ctx, net, sources, rep.Rounds, cfg)
-	case cfg.scalarScan:
-		round := net.G.LowerFlood().Arcs()
-		err = scalarScan(ctx, net, func(fr *gossip.FrontierState) int { return fr.Step(round) }, sources, rep.Rounds, cfg)
-	default:
-		err = packedScan(ctx, net, net.G.LowerFlood(), sources, rep.Rounds, cfg)
+	var src graph.FloodSource = net.Gen
+	if !useGen {
+		src = net.G.LowerFlood()
 	}
-	if err != nil {
+	if err := packedScan(ctx, net, src, sources, rep.Rounds, cfg); err != nil {
 		return nil, err
 	}
 	rep.summarize(net, sources)
 	return rep, nil
 }
 
-// pickScanKernel decides between the CSR kernels and the streaming
-// generator kernels for one scan. Forcing (WithImplicitScan) wins, then
+// pickScanSource decides between the lowered CSR and the streaming
+// generator as the scan's arc source. Forcing (WithImplicitScan) wins, then
 // necessity (an implicit network has nothing to lower), then the size
 // heuristic, then the WithMaxMemory guard rail — which can demote a
 // CSR-eligible scan to the generator path, or fail it with ErrMemoryBudget
-// when no kernel fits the cap.
-func pickScanKernel(net *Network, nsrc int, cfg config) (useGen bool, err error) {
+// when neither source fits the cap.
+func pickScanSource(net *Network, nsrc int, cfg config) (useGen bool, err error) {
 	hasGen := net.Gen != nil
 	switch {
 	case cfg.implicitScan:
@@ -210,8 +200,8 @@ func pickScanKernel(net *Network, nsrc int, cfg config) (useGen bool, err error)
 		if useGen {
 			need = genBytes
 		} else if csrBytes > cfg.maxMemory && hasGen && genBytes <= cfg.maxMemory {
-			// The CSR would blow the cap but the streaming kernel fits:
-			// fall back instead of failing.
+			// The CSR would blow the cap but streaming the generator
+			// fits: fall back instead of failing.
 			useGen, need = true, genBytes
 		}
 		if need > cfg.maxMemory {
@@ -222,17 +212,13 @@ func pickScanKernel(net *Network, nsrc int, cfg config) (useGen bool, err error)
 	return useGen, nil
 }
 
-// scanFootprint estimates the working bytes of the generator and CSR
-// kernels for this scan: per-worker frontier state plus, for the CSR, the
-// shared lowering (4-byte indptr per vertex, 4-byte source per arc). The
-// estimates are deliberately coarse — they gate WithMaxMemory, they do not
-// meter an allocator.
+// scanFootprint estimates the working bytes of a generator and a CSR scan:
+// per-worker frontier state plus, for the CSR, the shared lowering (4-byte
+// indptr per vertex, 4-byte source per arc). The estimates are deliberately
+// coarse — they gate WithMaxMemory, they do not meter an allocator.
 func scanFootprint(net *Network, nsrc int, cfg config) (genBytes, csrBytes int64) {
 	n := int64(net.N())
-	frontier := 16 * n // packed: two 8-byte knowledge words per vertex
-	if cfg.scalarScan {
-		frontier = n / 2 // two bitsets plus slack
-	}
+	frontier := 16 * n // two 8-byte knowledge words per vertex
 	workers := int64(cfg.workers)
 	if batches := int64(nsrc+gossip.PackedLanes-1) / int64(gossip.PackedLanes); workers > batches {
 		workers = batches
@@ -280,7 +266,7 @@ func scanSources(net *Network, sources []int) (list []int, explicit bool, err er
 // summarize fills the extremes, the eccentricity statistics and the
 // per-source certification floor from the measured rounds — one pass over
 // the per-source scan results. Ties keep the earliest scanned source, so
-// reports are independent of the kernel and worker count.
+// reports are independent of the arc source and worker count.
 func (r *BroadcastAllReport) summarize(net *Network, sources []int) {
 	c, lb := broadcastBoundEcc(net, 0)
 	bound := &r.boundStore
@@ -320,9 +306,9 @@ func (r *BroadcastAllReport) summarize(net *Network, sources []int) {
 	}
 }
 
-// The scan error constructors are shared by both kernels, so the packed
-// engine is pinned error-equal — not just errors.Is-equal — to the scalar
-// reference.
+// The scan error constructors are shared with the scalar reference scan
+// the tests keep, so the packed engine is pinned error-equal — not just
+// errors.Is-equal — to it.
 
 func errScanCtx(net *Network, err error) error {
 	return fmt.Errorf("systolic: broadcast-all on %s: %w", net.Name, err)
@@ -340,150 +326,19 @@ func errScanUnreachable(net *Network, source, rounds int) error {
 		ErrUnreachable, net.Name, source, rounds)
 }
 
-// scalarScan is the per-source reference kernel: one 1-bit frontier,
-// reset in place per source, stepped over the flooding round. It defines
-// the scan's semantics; the packed kernel must match it byte for byte.
-// The step closure hides the arc representation — walking the lowered
-// round or streaming a generator — so both produce identical reports.
-func scalarScan(ctx context.Context, net *Network, step func(*gossip.FrontierState) int, sources, rounds []int, cfg config) error {
+// packedScan is the bit-parallel scan over one arc source — the lowered
+// CSR or the network's generator: ⌈sources/64⌉ batches of up to 64
+// sources, claimed in scan order by the worker pool. Batches are
+// independent, so reports are byte-identical for every worker count; a
+// lone batch leaves all but one worker idle, so it range-shards each step
+// across the pool instead (rangeShards).
+func packedScan(ctx context.Context, net *Network, src graph.FloodSource, sources, rounds []int, cfg config) error {
 	n := net.N()
-	fr := gossip.NewFrontierState(n, 0)
-	so, _ := cfg.observer.(ScanObserver)
-	batchCols := 0 // informed columns of the current batch's finished lanes
-	for i, src := range sources {
-		if err := ctx.Err(); err != nil {
-			return errScanCtx(net, err)
-		}
-		batch, lane := i/gossip.PackedLanes, i%gossip.PackedLanes
-		if lane == 0 {
-			batchCols = 0
-		}
-		lanes := len(sources) - batch*gossip.PackedLanes
-		if lanes > gossip.PackedLanes {
-			lanes = gossip.PackedLanes
-		}
-		fr.Reset(src)
-		r := 0
-		for !fr.Complete() {
-			if r >= cfg.budget {
-				return errScanIncomplete(net, src, cfg.budget)
-			}
-			if step(fr) == 0 {
-				return errScanUnreachable(net, src, r)
-			}
-			r++
-			if cfg.observer != nil {
-				// Untouched lanes contribute their informed source; the
-				// column total matches the packed kernel's when the batch
-				// finishes.
-				cols := batchCols + fr.InformedCount() + (lanes - lane - 1)
-				if so != nil {
-					so.ScanRound(batch, r, cols, lanes*n)
-				} else {
-					cfg.observer.Round(r, cols, lanes*n)
-				}
-			}
-		}
-		rounds[i] = r
-		batchCols += fr.InformedCount()
-	}
-	return nil
-}
-
-// packedScan is the bit-parallel kernel: ⌈sources/64⌉ batches, each
-// stepped through the lowered flooding schedule with 64 sources per pass,
-// sharded across the worker pool (batches are independent, so reports are
-// byte-identical for every worker count).
-func packedScan(ctx context.Context, net *Network, flood *graph.FloodCSR, sources, rounds []int, cfg config) error {
-	step := func(pf *gossip.PackedFrontier) (uint64, uint64, int) { return pf.StepFlood(flood) }
-	return packedBatches(ctx, net, func(int) packedStep { return step }, sources, rounds, cfg)
-}
-
-// packedScanGen is the streaming counterpart of packedScan: the same batch
-// bookkeeping with arcs computed on the fly from the network's generator.
-// Multi-batch scans parallelize across batches exactly like packedScan,
-// each worker owning a fixed FloodGen scratch; a single-batch scan on a
-// large network — the shape of huge implicit scans, where all 64 lanes fit
-// one word — instead shards each step by vertex range across the pool
-// (StepFloodGenRange over disjoint ranges, folded, then one CommitStep).
-func packedScanGen(ctx context.Context, net *Network, sources, rounds []int, cfg config) error {
 	batches := (len(sources) + gossip.PackedLanes - 1) / gossip.PackedLanes
-	if batches == 1 && cfg.workers > 1 && net.N() >= cfg.shardThreshold {
-		pf := gossip.NewPackedFrontier(net.N())
-		return packedBatch(ctx, net, shardedGenStep(net.Gen, net.N(), cfg.workers), pf, sources, rounds, 0, cfg)
-	}
-	return packedBatches(ctx, net, func(int) packedStep {
-		fg := graph.NewFloodGen(net.Gen)
-		return func(pf *gossip.PackedFrontier) (uint64, uint64, int) { return pf.StepFloodGen(fg) }
-	}, sources, rounds, cfg)
-}
-
-// packedStep advances a packed frontier one flooding round, whatever the
-// arc representation, returning the kernel triple (complete, changed,
-// informed) masked to the batch's active lanes.
-type packedStep func(*gossip.PackedFrontier) (uint64, uint64, int)
-
-// shardedGenStep builds a packedStep that splits [0, n) into chunk-aligned
-// vertex ranges, steps them concurrently — one FloodGen scratch per shard,
-// ranges disjoint so the contract of StepFloodGenRange holds — folds the
-// raw shard triples and commits the round once.
-func shardedGenStep(gen ArcSource, n, workers int) packedStep {
-	chunks := (n + graph.GenChunkVerts - 1) / graph.GenChunkVerts
-	shards := workers
-	if shards > chunks {
-		shards = chunks
-	}
-	cuts := make([]int, shards+1)
-	for i := 1; i < shards; i++ {
-		cuts[i] = chunks * i / shards * graph.GenChunkVerts
-	}
-	cuts[shards] = n
-	fgs := make([]*graph.FloodGen, shards)
-	for i := range fgs {
-		fgs[i] = graph.NewFloodGen(gen)
-	}
-	type shardRes struct {
-		and, changed uint64
-		informed     int
-		_            [5]uint64 // keep shard results off each other's cache line
-	}
-	results := make([]shardRes, shards)
-	return func(pf *gossip.PackedFrontier) (uint64, uint64, int) {
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				and, changed, informed := pf.StepFloodGenRange(fgs[i], cuts[i], cuts[i+1])
-				results[i] = shardRes{and: and, changed: changed, informed: informed}
-			}(i)
-		}
-		wg.Wait()
-		and, changed, informed := ^uint64(0), uint64(0), 0
-		for i := range results {
-			and &= results[i].and
-			changed |= results[i].changed
-			informed += results[i].informed
-		}
-		pf.CommitStep()
-		full := pf.Full()
-		return and & full, changed & full, informed
-	}
-}
-
-// packedBatches drives the batch pool shared by the CSR and generator
-// packed kernels: batches are independent, claimed in scan order, and each
-// worker builds its step (and any scratch it closes over) once. Reports
-// are byte-identical for every worker count.
-func packedBatches(ctx context.Context, net *Network, mkStep func(worker int) packedStep, sources, rounds []int, cfg config) error {
-	batches := (len(sources) + gossip.PackedLanes - 1) / gossip.PackedLanes
-	workers := cfg.workers
-	if workers > batches {
-		workers = batches
-	}
+	workers := min(cfg.workers, batches)
 	if workers <= 1 {
-		pf := gossip.NewPackedFrontier(net.N())
-		step := mkStep(0)
+		pf := gossip.NewPackedFrontier(n)
+		step := floodStep(src, n, rangeShards(n, batches, cfg))
 		for b := 0; b < batches; b++ {
 			if err := packedBatch(ctx, net, step, pf, sources, rounds, b, cfg); err != nil {
 				return err
@@ -496,10 +351,10 @@ func packedBatches(ctx context.Context, net *Network, mkStep func(worker int) pa
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			pf := gossip.NewPackedFrontier(net.N())
-			step := mkStep(w)
+			pf := gossip.NewPackedFrontier(n)
+			step := floodStep(src, n, 1)
 			for {
 				b := int(next.Add(1)) - 1
 				if b >= batches {
@@ -515,7 +370,7 @@ func packedBatches(ctx context.Context, net *Network, mkStep func(worker int) pa
 					failed.Store(1)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -526,12 +381,117 @@ func packedBatches(ctx context.Context, net *Network, mkStep func(worker int) pa
 	return nil
 }
 
+// floodStepper advances a packed frontier one flooding round over an arc
+// source, returning the kernel triple (complete, changed, informed) masked
+// to the batch's active lanes.
+type floodStepper interface {
+	step(pf *gossip.PackedFrontier) (complete, changed uint64, informed int)
+}
+
+// rangeShards is the range-sharding rule of the packed flood step, for any
+// arc source: a single batch on a multi-worker pool splits each round by
+// vertex range once the network clears the shard threshold; otherwise each
+// worker steps whole rounds.
+func rangeShards(n, batches int, cfg config) int {
+	if batches == 1 && cfg.workers > 1 && n >= cfg.shardThreshold {
+		return cfg.workers
+	}
+	return 1
+}
+
+// floodStep builds the stepper over src for up to shards concurrent vertex
+// ranges; one shard is the serial round over [0, n).
+func floodStep(src graph.FloodSource, n, shards int) floodStepper {
+	chunks := (n + graph.GenChunkVerts - 1) / graph.GenChunkVerts
+	shards = min(shards, chunks)
+	if shards <= 1 {
+		return &serialFlood{fg: graph.NewFloodGen(src), n: n}
+	}
+	s := &shardedFlood{shards: make([]floodShard, shards)}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.fg = graph.NewFloodGen(src)
+		sh.lo, sh.hi = chunks*i/shards*graph.GenChunkVerts, n
+		if i+1 < shards {
+			sh.hi = chunks * (i + 1) / shards * graph.GenChunkVerts
+		}
+	}
+	s.run = s.stepShard
+	return s
+}
+
+// serialFlood steps whole rounds on the calling goroutine.
+type serialFlood struct {
+	fg graph.FloodGen
+	n  int
+}
+
+func (s *serialFlood) step(pf *gossip.PackedFrontier) (uint64, uint64, int) {
+	and, changed, informed := pf.StepFloodRange(&s.fg, 0, s.n)
+	return commitRound(pf, and, changed, informed)
+}
+
+// commitRound publishes a stepped round and masks its results to the
+// batch's active lanes.
+func commitRound(pf *gossip.PackedFrontier, and, changed uint64, informed int) (uint64, uint64, int) {
+	pf.CommitStep()
+	full := pf.Full()
+	return and & full, changed & full, informed
+}
+
+// shardedFlood steps one flooding round as concurrent vertex ranges:
+// [0, n) splits into chunk-aligned ranges, each with its own FloodGen and
+// all disjoint, so the contract of StepFloodRange holds; the shard triples
+// fold and the round commits once. Everything is allocated up front — a
+// round spawns the bound run method, which allocates nothing.
+type shardedFlood struct {
+	shards []floodShard
+	cur    *gossip.PackedFrontier // the frontier of the round in flight
+	claim  atomic.Int32           // next unclaimed shard of the round
+	wg     sync.WaitGroup
+	run    func() // s.stepShard, bound once
+}
+
+// floodShard is one vertex range of a sharded round and its raw result.
+type floodShard struct {
+	fg           graph.FloodGen
+	lo, hi       int
+	and, changed uint64
+	informed     int
+	_            [5]uint64 // keep shard results off each other's cache line
+}
+
+func (s *shardedFlood) stepShard() {
+	defer s.wg.Done()
+	sh := &s.shards[s.claim.Add(1)-1]
+	sh.and, sh.changed, sh.informed = s.cur.StepFloodRange(&sh.fg, sh.lo, sh.hi)
+}
+
+func (s *shardedFlood) step(pf *gossip.PackedFrontier) (uint64, uint64, int) {
+	s.cur = pf
+	s.claim.Store(0)
+	s.wg.Add(len(s.shards))
+	for range s.shards[1:] {
+		go s.run()
+	}
+	s.stepShard()
+	s.wg.Wait()
+	and, changed, informed := ^uint64(0), uint64(0), 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		and &= sh.and
+		changed |= sh.changed
+		informed += sh.informed
+	}
+	return commitRound(pf, and, changed, informed)
+}
+
 // packedBatch steps one batch of up to 64 sources to per-lane completion,
-// stall, or the round budget, reproducing the scalar kernel's per-source
-// outcomes exactly: a lane completing within the budget records its round,
+// stall, or the round budget, reproducing the scalar reference's
+// per-source outcomes exactly: a lane completing within the budget records its round,
 // and the first failing lane (in scan order) aborts with the same error
 // the scalar scan would have produced for that source.
-func packedBatch(ctx context.Context, net *Network, step packedStep, pf *gossip.PackedFrontier, sources, rounds []int, b int, cfg config) error {
+func packedBatch(ctx context.Context, net *Network, step floodStepper, pf *gossip.PackedFrontier, sources, rounds []int, b int, cfg config) error {
 	n := net.N()
 	lo := b * gossip.PackedLanes
 	hi := lo + gossip.PackedLanes
@@ -556,14 +516,14 @@ func packedBatch(ctx context.Context, net *Network, step packedStep, pf *gossip.
 		if err := ctx.Err(); err != nil {
 			return errScanCtx(net, err)
 		}
-		complete, changed, informed := step(pf)
+		complete, changed, informed := step.step(pf)
 		for m := complete &^ done; m != 0; m &= m - 1 {
 			rounds[lo+bits.TrailingZeros64(m)] = r
 		}
 		done |= complete
 		newlyStalled := remaining &^ (changed | complete)
 		for m := newlyStalled; m != 0; m &= m - 1 {
-			// The stalling step gained nothing, so the scalar kernel
+			// The stalling step gained nothing, so the scalar reference
 			// reports one fewer productive round.
 			stallRound[bits.TrailingZeros64(m)] = r - 1
 		}

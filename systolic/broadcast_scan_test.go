@@ -1,8 +1,8 @@
 // Differential coverage for the sources-aware broadcast scan: the packed
-// 64-source kernel must reproduce the scalar per-source reference exactly
-// — same reports, same errors, same trace — on every registered topology
-// kind, on ragged multi-batch scans, on subsets, and for every worker
-// count.
+// 64-source kernel must reproduce the scalar per-source reference
+// (scalarBroadcastAll) exactly — same reports, same errors, same trace —
+// on every registered topology kind, on ragged multi-batch scans, on
+// subsets, and for every worker count.
 package systolic
 
 import (
@@ -17,13 +17,26 @@ import (
 	"repro/internal/graph"
 )
 
-// scanBoth runs AnalyzeBroadcastAll under both kernels with identical
+// scanFunc is AnalyzeBroadcastAll or its scalar oracle.
+type scanFunc func(context.Context, *Network, ...Option) (*BroadcastAllReport, error)
+
+// scanKernels names the packed scan and the scalar oracle, for tests that
+// run the same checks on both.
+var scanKernels = []struct {
+	name string
+	scan scanFunc
+}{
+	{"packed", AnalyzeBroadcastAll},
+	{"scalar", scalarBroadcastAll},
+}
+
+// scanBoth runs AnalyzeBroadcastAll and the scalar oracle with identical
 // options and demands deep-equal reports (or identical failures).
 func scanBoth(t *testing.T, net *Network, opts ...Option) *BroadcastAllReport {
 	t.Helper()
 	ctx := context.Background()
 	packed, perr := AnalyzeBroadcastAll(ctx, net, opts...)
-	scalar, serr := AnalyzeBroadcastAll(ctx, net, append(opts, WithScalarScan())...)
+	scalar, serr := scalarBroadcastAll(ctx, net, opts...)
 	if (perr == nil) != (serr == nil) {
 		t.Fatalf("kernel disagreement on %s: packed err %v, scalar err %v", net.Name, perr, serr)
 	}
@@ -41,8 +54,10 @@ func scanBoth(t *testing.T, net *Network, opts ...Option) *BroadcastAllReport {
 
 // TestBroadcastScanDifferentialAllKinds: for every registered kind the
 // packed scan equals the scalar reference — full scans and a small subset
-// — and every measured round count is the source's directed eccentricity.
+// — every measured round count is the source's directed eccentricity, and
+// the arc-source table (checkArcSources) holds.
 func TestBroadcastScanDifferentialAllKinds(t *testing.T) {
+	generators := 0
 	for _, kind := range Kinds() {
 		params, ok := smallParams[kind]
 		if !ok {
@@ -78,7 +93,127 @@ func TestBroadcastScanDifferentialAllKinds(t *testing.T) {
 				t.Errorf("subset rows %v disagree with full rows (%d, %d)",
 					sub.Rounds, full.Rounds[n-1], full.Rounds[0])
 			}
+			if net.Gen != nil {
+				generators++
+			}
+			checkArcSources(t, net)
 		})
+	}
+	if generators == 0 {
+		t.Error("no registered kind carried a generator: the generator arc source went untested")
+	}
+}
+
+// checkArcSources runs the arc-source table on net: over every arc source
+// it offers, the packed scan — serial, and with the range-sharding rule
+// forced on (WithShardThreshold(1)) at workers 1..8 — reproduces the
+// scalar oracle's report and its budget-truncation error exactly, and
+// emits the same ScanRound trace as the serial scan over the lowered CSR.
+func checkArcSources(t *testing.T, net *Network) {
+	t.Helper()
+	ctx := context.Background()
+	_, refTrace, err := traceScan(t, net, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range scanArcSources(net) {
+		want, werr := scalarBroadcastAll(ctx, src.net, src.opts...)
+		if werr != nil {
+			t.Fatalf("%s: oracle: %v", src.name, werr)
+		}
+		_, wantCut := scalarBroadcastAll(ctx, src.net, append(src.opts, WithRoundBudget(1))...)
+		for workers := 1; workers <= 8; workers++ {
+			opts := append(src.opts[:len(src.opts):len(src.opts)], WithWorkers(workers), WithShardThreshold(1))
+			got, trace, gerr := traceScan(t, src.net, opts...)
+			sameScan(t, src.name, got, gerr, want, nil)
+			if !reflect.DeepEqual(trace, refTrace) {
+				t.Fatalf("%s workers=%d: trace\n  %v\nserial CSR\n  %v", src.name, workers, trace, refTrace)
+			}
+			cut, cerr := AnalyzeBroadcastAll(ctx, src.net, append(opts, WithRoundBudget(1))...)
+			if wantCut == nil {
+				sameScan(t, src.name+" budget 1", cut, cerr, want, nil)
+			} else {
+				sameScan(t, src.name+" budget 1", cut, cerr, nil, wantCut)
+			}
+		}
+	}
+}
+
+// scanArcSource is one arc source a scan of net can walk: the lowered CSR,
+// the network's generator, or the DigraphSource InArcs fallback.
+type scanArcSource struct {
+	name string
+	net  *Network
+	opts []Option
+}
+
+// scanArcSources lists the arc sources net offers: the lowered CSR, its
+// generator when it carries one, and its digraph wrapped as a generator
+// without the OrGatherer fast path.
+func scanArcSources(net *Network) []scanArcSource {
+	inArcs := *net
+	inArcs.Gen = graph.NewDigraphSource(net.G)
+	srcs := []scanArcSource{
+		{"csr", net, nil},
+		{"inarcs", &inArcs, []Option{WithImplicitScan()}},
+	}
+	if net.Gen != nil {
+		srcs = append(srcs, scanArcSource{"gen", net, []Option{WithImplicitScan()}})
+	}
+	return srcs
+}
+
+// traceScan runs one packed scan under a ScanObserver.
+func traceScan(t *testing.T, net *Network, opts ...Option) (*BroadcastAllReport, []scanEvent, error) {
+	t.Helper()
+	tr := &scanTrace{}
+	rep, err := AnalyzeBroadcastAll(context.Background(), net, append(opts, WithTrace(tr))...)
+	return rep, tr.events, err
+}
+
+// sameScan demands deep-equal reports (bound summary included) and
+// byte-identical error texts.
+func sameScan(t *testing.T, what string, got *BroadcastAllReport, gerr error, want *BroadcastAllReport, werr error) {
+	t.Helper()
+	if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+		t.Fatalf("%s: error %v, oracle %v", what, gerr, werr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: report\n  %+v\noracle\n  %+v", what, got, want)
+	}
+}
+
+// TestBroadcastScanRangeSharded runs the arc-source table where range
+// sharding really splits rounds: one batch on hypercube d=15 (eight
+// 4096-vertex chunks), so workers 2..8 step 2..8 disjoint vertex ranges per
+// round over each arc source.
+func TestBroadcastScanRangeSharded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps a 32768-vertex hypercube")
+	}
+	ctx := context.Background()
+	net, err := New("hypercube", Dimension(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := WithSources([]int{0, 5, 1 << 14, 32767})
+	_, refTrace, err := traceScan(t, net, batch, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range scanArcSources(net) {
+		want, werr := scalarBroadcastAll(ctx, src.net, append(src.opts, batch)...)
+		if werr != nil || want.Worst != 15 {
+			t.Fatalf("%s: oracle %+v, %v", src.name, want, werr)
+		}
+		for workers := 1; workers <= 8; workers++ {
+			opts := append(src.opts[:len(src.opts):len(src.opts)], batch, WithWorkers(workers), WithShardThreshold(1))
+			got, trace, gerr := traceScan(t, src.net, opts...)
+			sameScan(t, src.name, got, gerr, want, nil)
+			if !reflect.DeepEqual(trace, refTrace) {
+				t.Fatalf("%s workers=%d: sharded trace diverges from the serial CSR trace", src.name, workers)
+			}
+		}
 	}
 }
 
@@ -163,9 +298,9 @@ func TestBroadcastScanBadSources(t *testing.T) {
 		"out-of-range": {5},
 		"duplicate":    {1, 3, 1},
 	} {
-		for _, kernel := range []Option{func(*config) {}, WithScalarScan()} {
-			if _, err := AnalyzeBroadcastAll(ctx, net, WithSources(sources), kernel); !errors.Is(err, ErrBadParam) {
-				t.Errorf("%s sources: err = %v, want ErrBadParam", name, err)
+		for _, kernel := range scanKernels {
+			if _, err := kernel.scan(ctx, net, WithSources(sources)); !errors.Is(err, ErrBadParam) {
+				t.Errorf("%s sources (%s): err = %v, want ErrBadParam", name, kernel.name, err)
 			}
 		}
 	}
@@ -183,7 +318,7 @@ func TestBroadcastScanErrorParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, perr := AnalyzeBroadcastAll(ctx, path, WithRoundBudget(2))
-	_, serr := AnalyzeBroadcastAll(ctx, path, WithRoundBudget(2), WithScalarScan())
+	_, serr := scalarBroadcastAll(ctx, path, WithRoundBudget(2))
 	if perr == nil || serr == nil || perr.Error() != serr.Error() {
 		t.Fatalf("truncated-scan parity:\n  packed: %v\n  scalar: %v", perr, serr)
 	}
@@ -198,7 +333,7 @@ func TestBroadcastScanErrorParity(t *testing.T) {
 	g.AddArc(1, 2)
 	oneway := Plain("one-way-path", g)
 	_, perr = AnalyzeBroadcastAll(ctx, oneway)
-	_, serr = AnalyzeBroadcastAll(ctx, oneway, WithScalarScan())
+	_, serr = scalarBroadcastAll(ctx, oneway)
 	if perr == nil || serr == nil || perr.Error() != serr.Error() {
 		t.Fatalf("unreachable-scan parity:\n  packed: %v\n  scalar: %v", perr, serr)
 	}
@@ -242,16 +377,10 @@ func TestBroadcastScanTraceSeam(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := net.G.N()
-	for _, kernel := range []struct {
-		name string
-		opt  Option
-	}{
-		{"packed", func(*config) {}},
-		{"scalar", WithScalarScan()},
-	} {
+	for _, kernel := range scanKernels {
 		t.Run(kernel.name, func(t *testing.T) {
 			tr := &scanTrace{}
-			if _, err := AnalyzeBroadcastAll(context.Background(), net, WithTrace(tr), WithWorkers(2), kernel.opt); err != nil {
+			if _, err := kernel.scan(context.Background(), net, WithTrace(tr), WithWorkers(2)); err != nil {
 				t.Fatal(err)
 			}
 			if tr.rounds != 0 {
@@ -290,10 +419,10 @@ func TestBroadcastScanTraceSeam(t *testing.T) {
 	}
 
 	// Plain observers get the Round fallback from both kernels.
-	for _, opt := range []Option{func(*config) {}, WithScalarScan()} {
+	for _, kernel := range scanKernels {
 		calls := 0
 		obs := ObserverFunc(func(round, knowledge, target int) { calls++ })
-		if _, err := AnalyzeBroadcastAll(context.Background(), net, WithTrace(obs), WithWorkers(1), opt); err != nil {
+		if _, err := kernel.scan(context.Background(), net, WithTrace(obs), WithWorkers(1)); err != nil {
 			t.Fatal(err)
 		}
 		if calls == 0 {
@@ -316,8 +445,12 @@ func TestBroadcastAllBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bounds []*BroadcastBound
-	for _, opts := range [][]Option{nil, {WithScalarScan()}, {WithWorkers(4)}} {
-		rep, err := AnalyzeBroadcastAll(ctx, net, opts...)
+	for _, run := range []func() (*BroadcastAllReport, error){
+		func() (*BroadcastAllReport, error) { return AnalyzeBroadcastAll(ctx, net) },
+		func() (*BroadcastAllReport, error) { return scalarBroadcastAll(ctx, net) },
+		func() (*BroadcastAllReport, error) { return AnalyzeBroadcastAll(ctx, net, WithWorkers(4)) },
+	} {
+		rep, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}

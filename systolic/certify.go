@@ -9,7 +9,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/delay"
 	"repro/internal/gossip"
-	"repro/internal/graph"
 )
 
 // DelayPlan is the compiled delay lowering of one protocol on one network:
@@ -228,7 +227,7 @@ func Certify(ctx context.Context, net *Network, p *Protocol, opts ...Option) (*C
 // marked inapplicable.
 //
 // On an implicit network no BFS tree can be compiled, so certification
-// streams single-source flooding through the generator kernel instead:
+// streams single-source flooding from the generator instead:
 // under flooding the measured completion time is exactly the source's
 // directed eccentricity, which is simultaneously the certificate's
 // eccentricity floor — the certificate reports Mode "flooding" and holds
@@ -294,20 +293,14 @@ func floodEccentricityGen(ctx context.Context, net *Network, source int, cfg con
 	if n == 1 {
 		return 0, true, nil
 	}
-	var step packedStep
-	if cfg.workers > 1 && n >= cfg.shardThreshold {
-		step = shardedGenStep(net.Gen, n, cfg.workers)
-	} else {
-		fg := graph.NewFloodGen(net.Gen)
-		step = func(pf *gossip.PackedFrontier) (uint64, uint64, int) { return pf.StepFloodGen(fg) }
-	}
+	step := floodStep(net.Gen, n, rangeShards(n, 1, cfg))
 	pf := gossip.NewPackedFrontier(n)
 	pf.Reset([]int{source})
 	for r := 1; r <= cfg.budget; r++ {
 		if err := ctx.Err(); err != nil {
 			return 0, false, err
 		}
-		complete, changed, _ := step(pf)
+		complete, changed, _ := step.step(pf)
 		if complete != 0 {
 			return r, true, nil
 		}

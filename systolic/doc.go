@@ -85,7 +85,7 @@
 // cache and request deduplication on exactly this. AnalyzeBroadcastAll
 // measures the flooding broadcast time — the source's directed
 // eccentricity — from every source (or a WithSources subset) in one scan:
-// flooding is source-independent, so the schedule lowers once and the
-// bit-parallel kernel steps 64 sources per pass through it, one bit per
-// (vertex, source) pair.
+// flooding is source-independent, so one bit-parallel kernel steps 64
+// sources per pass, one bit per (vertex, source) pair, over an arc source:
+// the schedule lowered once into a CSR, or the network's generator.
 package systolic

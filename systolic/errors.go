@@ -41,7 +41,7 @@ var (
 	// networks; everything else needs a materializable instance.
 	ErrImplicit = errors.New("systolic: operation requires a materialized network")
 	// ErrMemoryBudget is returned when a scan's estimated working memory
-	// exceeds the WithMaxMemory cap on every available kernel.
+	// exceeds the WithMaxMemory cap on every available arc source.
 	ErrMemoryBudget = errors.New("systolic: scan exceeds the memory budget")
 )
 

@@ -1,6 +1,6 @@
-// Coverage for the generator-backed scan seam: the streaming kernels must
-// reproduce the CSR kernels exactly (reports, errors, traces) on every
-// generator-eligible kind, the registry must attach generators and switch
+// Coverage for the generator-backed scan seam: scans streaming the
+// generator must reproduce scans over the lowered CSR exactly (reports,
+// errors, traces) on every generator-eligible kind, the registry must attach generators and switch
 // to implicit builds past the materialization threshold, and implicit
 // networks must stream scans and certifications while every
 // adjacency-walking entry point fails with ErrImplicit.
@@ -19,7 +19,7 @@ import (
 
 // genEligibleNets instantiates one modest network per generator-eligible
 // registry kind. All come back materialized (below the threshold) with a
-// generator attached, so the CSR and streaming kernels can be compared on
+// generator attached, so CSR and generator scans can be compared on
 // identical instances.
 func genEligibleNets(t *testing.T) []*Network {
 	t.Helper()
@@ -55,9 +55,10 @@ func genEligibleNets(t *testing.T) []*Network {
 }
 
 // TestGeneratorKernelsMatchCSR is the scan differential: on every
-// generator-eligible kind, the four kernels (CSR/generator × packed/scalar)
-// produce deep-equal full-scan reports, across worker counts (including
-// the single-batch vertex-sharded path, forced via WithShardThreshold).
+// generator-eligible kind, the packed scan over the generator and the
+// scalar oracle over the generator's arcs produce full-scan reports
+// deep-equal to the packed CSR scan, across worker counts (including the
+// single-batch vertex-sharded path, forced via WithShardThreshold).
 func TestGeneratorKernelsMatchCSR(t *testing.T) {
 	ctx := context.Background()
 	for _, net := range genEligibleNets(t) {
@@ -67,15 +68,15 @@ func TestGeneratorKernelsMatchCSR(t *testing.T) {
 		}
 		variants := []struct {
 			name string
+			scan scanFunc
 			opts []Option
 		}{
-			{"gen-packed-serial", []Option{WithImplicitScan(), WithWorkers(1)}},
-			{"gen-packed-parallel", []Option{WithImplicitScan(), WithWorkers(4)}},
-			{"gen-scalar", []Option{WithImplicitScan(), WithScalarScan()}},
-			{"gen-packed-subset-sharded", nil}, // filled below: single batch + vertex shards
+			{"gen-packed-serial", AnalyzeBroadcastAll, []Option{WithImplicitScan(), WithWorkers(1)}},
+			{"gen-packed-parallel", AnalyzeBroadcastAll, []Option{WithImplicitScan(), WithWorkers(4)}},
+			{"gen-scalar", scalarBroadcastAll, []Option{WithImplicitScan()}},
 		}
-		for _, v := range variants[:3] {
-			got, err := AnalyzeBroadcastAll(ctx, net, v.opts...)
+		for _, v := range variants {
+			got, err := v.scan(ctx, net, v.opts...)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", net.Name, v.name, err)
 			}
@@ -109,8 +110,8 @@ func TestGeneratorKernelsMatchCSR(t *testing.T) {
 }
 
 // TestGeneratorTraceMatchesCSR pins the frontier trace: a ScanObserver sees
-// the identical ScanRound stream from the generator and CSR packed kernels
-// (single worker, so the event order is deterministic).
+// the identical ScanRound stream from generator and CSR scans (single
+// worker, so the event order is deterministic).
 func TestGeneratorTraceMatchesCSR(t *testing.T) {
 	net, err := New("hypercube", Dimension(7)) // 128 vertices: two full batches
 	if err != nil {
@@ -250,12 +251,12 @@ func TestMaxMemoryGuardRail(t *testing.T) {
 	// Kernel choice, directly: between the two footprints the picker must
 	// demote to the generator; below both it must refuse.
 	cfg.maxMemory = csrBytes - 1
-	useGen, err := pickScanKernel(net, net.N(), cfg)
+	useGen, err := pickScanSource(net, net.N(), cfg)
 	if err != nil || !useGen {
 		t.Fatalf("cap %d: useGen=%v err=%v, want generator fallback", cfg.maxMemory, useGen, err)
 	}
 	cfg.maxMemory = genBytes - 1
-	if _, err := pickScanKernel(net, net.N(), cfg); !errors.Is(err, ErrMemoryBudget) {
+	if _, err := pickScanSource(net, net.N(), cfg); !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("cap %d: err = %v, want ErrMemoryBudget", cfg.maxMemory, err)
 	}
 	// End to end: the demoted scan still returns the CSR kernel's report.

@@ -25,8 +25,8 @@ type Family = bounds.Family
 //
 // A network carries one or both representations of its arc set: G, the
 // materialized digraph every schedule compiler and bound evaluator walks,
-// and Gen, an arithmetic generator the streaming broadcast kernels compute
-// arcs from on the fly. Registry builders attach Gen alongside G for the
+// and Gen, an arithmetic generator broadcast scans compute arcs from on the
+// fly. Registry builders attach Gen alongside G for the
 // generator-eligible kinds, and build Gen-only ("implicit") instances past
 // the materialization threshold — those support AnalyzeBroadcastAll and
 // CertifyBroadcast (flooding is generator-computable) while everything

@@ -157,20 +157,20 @@ func paramHint(name string) string {
 // implicit (generator-only) networks, up to maxImplicitVertices.
 const maxInstanceVertices = 1 << 26
 
-// maxImplicitVertices bounds implicit (generator-only) instances. The
-// streaming kernels carry only O(n) frontier words, so the ceiling is set
+// maxImplicitVertices bounds implicit (generator-only) instances. Scans
+// streaming a generator carry only O(n) frontier words, so the ceiling is set
 // by frontier memory, not arcs: 2^28 vertices is 4 GiB of packed frontier
 // (two 8-byte words per vertex) — the practical edge of one scan on a
 // large box.
 const maxImplicitVertices = 1 << 28
 
 // DefaultImplicitScanNodes is the vertex count above which
-// AnalyzeBroadcastAll prefers the streaming generator kernels for networks
+// AnalyzeBroadcastAll prefers streaming the generator for networks
 // that carry both representations: past it the CSR lowering costs more
 // than the generator path saves. Registry-built networks at most this size
 // are always materialized, so the heuristic only fires for hand-built
-// Networks with an attached generator; force the streaming kernels at any
-// size with WithImplicitScan.
+// Networks with an attached generator; force streaming at any size with
+// WithImplicitScan.
 const DefaultImplicitScanNodes = materializeThreshold
 
 // maxCompleteVertices caps the complete graph separately: K_n materializes
@@ -181,7 +181,7 @@ const maxCompleteVertices = 2048
 // materializeThreshold is the vertex count above which generator-eligible
 // registry builders skip materialization and return an implicit network.
 // At or below it both representations are attached (G for schedule
-// compilers and bounds, Gen for the streaming kernels); above it only Gen.
+// compilers and bounds, Gen for streaming scans); above it only Gen.
 // 2^19 keeps every materialized build's adjacency-plus-arc-set footprint
 // modest and puts the 2^20-node hypercube (dimension 20) on the implicit
 // side — the scale tier's acceptance point.

@@ -63,7 +63,12 @@ var protocolCatalog = map[string]func(net *Network, budget int) (*Protocol, erro
 		return protocols.HypercubeExchange(D), nil
 	},
 	"doubling": func(net *Network, _ int) (*Protocol, error) {
-		return protocols.CompleteDoubling(net.G.N()), nil
+		n := net.G.N()
+		if n < 2 || n&(n-1) != 0 {
+			return nil, fmt.Errorf("%w: protocol doubling on %s needs a power-of-two vertex count ≥ 2, got %d",
+				ErrBadParam, net.Name, n)
+		}
+		return protocols.CompleteDoubling(n), nil
 	},
 	"zigzag": func(net *Network, _ int) (*Protocol, error) {
 		return protocols.PathZigZag(net.G.N()), nil

@@ -192,14 +192,17 @@
 // GET /metrics — Prometheus text format: requests by endpoint, cache
 // hits/misses and hit ratio, program-cache hits/misses, delay-plan-cache
 // hits/misses, dedup shares, simulations run, rounds simulated, scenario
-// trials run and truncated, queue rejections, in-flight sessions, queue
-// depth.
+// trials run and truncated, queue rejections, contained panics, in-flight
+// sessions, queue depth.
 //
 // # Errors
 //
 // Validation failures are 400 with {"error": "..."}; a saturated queue is
 // 429 (Retry-After: 1); a round budget exceeded synchronously is 422; a
 // draining server answers 503 to computation-starting requests while
-// read-only endpoints keep serving. Graceful shutdown is Drain (stop
-// accepting, wait for in-flight sessions) followed by Close.
+// read-only endpoints keep serving. A computation that panics fails every
+// request waiting on it (and its async job) with ErrInternal, a 500
+// carrying the panic value; gossipd_panics_total counts it and the server
+// keeps serving. Graceful shutdown is Drain (stop accepting, wait for
+// in-flight sessions) followed by Close.
 package serve

@@ -143,7 +143,9 @@ func (st *jobStore) update(id string, mutate func(*Job)) {
 }
 
 // finish applies the terminal mutation (status, result, error, checkpoint),
-// stamps the finish time, and persists the job to the spool.
+// stamps the finish time, and persists the job to the spool before
+// publishing it, so a client that sees the job terminal can also reload it
+// from the spool.
 func (st *jobStore) finish(id string, mutate func(*Job)) {
 	st.mu.Lock()
 	j, ok := st.jobs[id]
@@ -151,11 +153,14 @@ func (st *jobStore) finish(id string, mutate func(*Job)) {
 		st.mu.Unlock()
 		return
 	}
-	mutate(j)
-	j.Finished = time.Now().UTC()
-	persisted := *j
+	done := *j
 	st.mu.Unlock()
-	st.persist(&persisted)
+	mutate(&done)
+	done.Finished = time.Now().UTC()
+	st.persist(&done)
+	st.mu.Lock()
+	*j = done
+	st.mu.Unlock()
 }
 
 func (st *jobStore) persist(j *Job) {

@@ -114,6 +114,12 @@ type Server struct {
 	started    time.Time
 }
 
+// ErrInternal is the error of a computation that panicked: the panic is
+// recovered on the compute goroutine, every request waiting on that
+// computation fails with ErrInternal (HTTP 500) carrying the panic value,
+// gossipd_panics_total counts it, and the server keeps serving.
+var ErrInternal = errors.New("serve: internal error")
+
 var (
 	errSaturated = errors.New("serve: worker queue is full")
 	errDraining  = errors.New("serve: server is draining")
@@ -219,8 +225,22 @@ func (s *Server) spawnFlight(key string, f *flight, compute func(ctx context.Con
 	}
 	go func() {
 		defer done()
-		s.flights.run(key, f, compute)
+		s.flights.run(key, f, func(ctx context.Context, emit func(any)) (err error) {
+			defer s.recoverPanic(&err)
+			return compute(ctx, emit)
+		})
 	}()
+}
+
+// recoverPanic, deferred on a goroutine that runs a computation, turns a
+// panic into *err: ErrInternal carrying the panic value. Compute runs
+// outside net/http's per-handler recovery, so an unrecovered panic there
+// would take the whole process down.
+func (s *Server) recoverPanic(err *error) {
+	if v := recover(); v != nil {
+		s.metrics.panics.Add(1)
+		*err = fmt.Errorf("%w: %v", ErrInternal, v)
+	}
 }
 
 // roundsObserver counts every simulated round into the metrics through the
@@ -897,7 +917,12 @@ func (s *Server) submitAsync(w http.ResponseWriter, op, key string, run func(ctx
 		defer done()
 		defer s.metrics.jobsDone.Add(1)
 		s.jobs.start(job.ID)
-		v, err := run(s.base, job.ID)
+		var v any
+		err := func() (err error) {
+			defer s.recoverPanic(&err)
+			v, err = run(s.base, job.ID)
+			return err
+		}()
 		s.jobs.finish(job.ID, func(j *Job) {
 			switch {
 			case err == nil:

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -828,4 +829,98 @@ func TestHealthzMetricsAndDrain(t *testing.T) {
 	if h := decodeBody[map[string]any](t, resp); h["status"] != "draining" {
 		t.Errorf("health status %v, want draining", h["status"])
 	}
+}
+
+// TestPanickingComputeIsContained: a computation that panics fails its
+// requests with ErrInternal (HTTP 500) instead of killing the process —
+// synchronously, through a shared flight and as an async job — the panic
+// is counted, and the server keeps serving. The doubling request that used
+// to crash gossipd is now rejected up front as a bad parameter (400).
+func TestPanickingComputeIsContained(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	client := ts.Client()
+	healthy := func() {
+		t.Helper()
+		r, err := client.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("healthz status %d after a failed compute", r.StatusCode)
+		}
+	}
+
+	doubling := AnalyzeRequest{Kind: "cycle", Params: map[string]int{"nodes": 3}, Protocol: "doubling"}
+	resp := postJSON(t, client, ts.URL+"/v1/analyze", doubling)
+	body := decodeBody[map[string]string](t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], "power-of-two") {
+		t.Fatalf("doubling on a 3-cycle: status %d body %v, want 400 naming the precondition", resp.StatusCode, body)
+	}
+	healthy()
+
+	// cycle2 on a 3-vertex path still reaches a panicking construction.
+	cycle2 := AnalyzeRequest{Kind: "path", Params: map[string]int{"nodes": 3}, Protocol: "cycle2"}
+	resp = postJSON(t, client, ts.URL+"/v1/analyze", cycle2)
+	body = decodeBody[map[string]string](t, resp)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.HasPrefix(body["error"], ErrInternal.Error()+": ") {
+		t.Fatalf("panicking compute: status %d body %v, want 500 carrying the panic", resp.StatusCode, body)
+	}
+	healthy()
+
+	resp = postJSON(t, client, ts.URL+"/v1/analyze?async=true", cycle2)
+	accepted := decodeBody[struct {
+		ID string `json:"id"`
+	}](t, resp)
+	var job Job
+	waitFor(t, 15*time.Second, "async panicking job to finish", func() bool {
+		r, err := client.Get(ts.URL + "/v1/jobs/" + accepted.ID)
+		if err != nil {
+			return false
+		}
+		job = decodeBody[Job](t, r)
+		return job.terminal()
+	})
+	if job.Status != JobFailed || !strings.HasPrefix(job.Error, ErrInternal.Error()+": ") {
+		t.Fatalf("async panicking job finished %s (%q), want failed with the internal error", job.Status, job.Error)
+	}
+	healthy()
+
+	// Every subscriber of a panicking flight gets the typed error.
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	release := make(chan struct{})
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = s.sharedItems(context.Background(), "panic-key", 1, func(context.Context, func(any)) error {
+				<-release
+				panic("boom")
+			})
+		}(i)
+	}
+	waitFor(t, 5*time.Second, "subscribers to share the flight", func() bool {
+		return s.Metrics().Snapshot().DedupShared >= 3
+	})
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrInternal) || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("subscriber %d: err = %v, want ErrInternal carrying the panic value", i, err)
+		}
+	}
+	if got := s.Metrics().Snapshot().Panics; got != 3 {
+		t.Errorf("panics counted %d, want 3 (sync, async, shared flight)", got)
+	}
+	r, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if !bytes.Contains(metrics, []byte("gossipd_panics_total 3\n")) {
+		t.Errorf("/metrics does not report gossipd_panics_total 3")
+	}
+	healthy()
 }

@@ -8,9 +8,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
+	"repro/internal/par"
 	"repro/systolic/serve"
 )
 
@@ -73,31 +73,27 @@ func runLoadtest(cfg serve.Config, base string, duration time.Duration, concurre
 	}
 	workers := make([]worker, concurrency)
 	deadline := time.Now().Add(duration)
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			me := &workers[w]
-			for i := w; time.Now().Before(deadline); i++ {
-				req := loadtestMix[i%len(loadtestMix)]
-				start := time.Now()
-				resp, err := client.Post(base+req.path, "application/json", bytes.NewReader([]byte(req.body)))
-				if err != nil {
-					me.errors++
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					me.errors++
-					continue
-				}
-				me.lat = append(me.lat, time.Since(start))
+	// One closed-loop client per index; each runs until the deadline.
+	par.Each(concurrency, concurrency, func(_, w int) bool {
+		me := &workers[w]
+		for i := w; time.Now().Before(deadline); i++ {
+			req := loadtestMix[i%len(loadtestMix)]
+			start := time.Now()
+			resp, err := client.Post(base+req.path, "application/json", bytes.NewReader([]byte(req.body)))
+			if err != nil {
+				me.errors++
+				continue
 			}
-		}(w)
-	}
-	wg.Wait()
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				me.errors++
+				continue
+			}
+			me.lat = append(me.lat, time.Since(start))
+		}
+		return true
+	})
 
 	var all []time.Duration
 	errors := 0

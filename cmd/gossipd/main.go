@@ -100,6 +100,13 @@ func withPprof(h http.Handler) http.Handler {
 	return mux
 }
 
+// A stalled client cannot hold a connection open past readHeaderTimeout or
+// idleTimeout; bodies and responses stay uncapped, as sweeps run long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func run(cfg serve.Config, addr string, drainTimeout time.Duration, pprofOn bool) error {
 	srv, err := serve.New(cfg)
 	if err != nil {
@@ -109,7 +116,8 @@ func run(cfg serve.Config, addr string, drainTimeout time.Duration, pprofOn bool
 	if pprofOn {
 		handler = withPprof(handler)
 	}
-	hs := &http.Server{Addr: addr, Handler: handler}
+	hs := &http.Server{Addr: addr, Handler: handler,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

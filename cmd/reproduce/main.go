@@ -13,8 +13,10 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sync"
 
 	"repro/internal/bounds"
+	"repro/internal/par"
 	"repro/internal/separator"
 	"repro/internal/topology"
 	"repro/systolic"
@@ -146,41 +148,25 @@ func sweep() {
 		err  error
 	}
 	rows := make([]certRow, len(jobs))
-	done := make(chan int, len(jobs))
-	// Bounded fan-out: at most GOMAXPROCS jobs certify at once, like the
-	// sweep engine's worker pool — growing the grid must not oversubscribe
-	// the host.
-	feed := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range feed {
-				rows[i].cert, rows[i].n, rows[i].err = certifyJob(jobs[i])
-				done <- i
-			}
-		}()
-	}
-	go func() {
-		for i := range jobs {
-			feed <- i
-		}
-		close(feed)
-	}()
 	// Completed rows are held back until their predecessors print, so the
 	// table stays in grid order while each row still prints as early as
-	// possible — long greedy jobs don't silence the whole section.
+	// possible — long greedy jobs don't silence the whole section. At most
+	// GOMAXPROCS jobs certify at once, like the sweep engine, so growing
+	// the grid does not oversubscribe the host.
+	var mu sync.Mutex
 	ready := make([]bool, len(jobs))
 	next := 0
-	for range jobs {
-		ready[<-done] = true
+	par.Each(runtime.GOMAXPROCS(0), len(jobs), func(_, i int) bool {
+		cert, n, err := certifyJob(jobs[i])
+		mu.Lock()
+		defer mu.Unlock()
+		rows[i], ready[i] = certRow{cert, n, err}, true
 		for next < len(jobs) && ready[next] {
 			printCertRow(jobs[next].Label, rows[next].cert, rows[next].n, rows[next].err)
 			next++
 		}
-	}
+		return true
+	})
 }
 
 // scenarios stresses the certified protocols under faults: the paper's

@@ -64,7 +64,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lb := systolic.Evaluate(net, systolic.Request{Mode: systolic.HalfDuplex, Period: p.Period})
+		lb, err := systolic.Evaluate(net, systolic.Request{Mode: systolic.HalfDuplex, Period: p.Period})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  WBF(2,%d): n=%4d  measured %4d rounds  >=  bound %3d rounds (%.4f·log n, %s)\n",
 			D, net.G.N(), rep.Measured, lb.Rounds, lb.Coefficient, lb.Source)
 	}

@@ -62,7 +62,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lb := systolic.Evaluate(net, systolic.Request{Mode: systolic.HalfDuplex, Period: systolic.NonSystolic})
+		lb, err := systolic.Evaluate(net, systolic.Request{Mode: systolic.HalfDuplex, Period: systolic.NonSystolic})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  DB(2,%d): greedy %3d rounds >= %.4f·log n = %d rounds (%s)\n",
 			D, rep.Measured, lb.Coefficient, lb.Rounds, lb.Source)
 	}

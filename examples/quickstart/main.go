@@ -37,7 +37,10 @@ func main() {
 	fmt.Printf("Network %s: n=%d vertices\n", net.Name, net.G.N())
 
 	// 3. The refined bound of Theorem 5.1 via the ⟨α,ℓ⟩-separator.
-	b := systolic.Evaluate(net, systolic.Request{Mode: systolic.HalfDuplex, Period: 4})
+	b, err := systolic.Evaluate(net, systolic.Request{Mode: systolic.HalfDuplex, Period: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("4-systolic half-duplex lower bound: %v\n\n", b)
 
 	// 4. Run a real periodic protocol from the catalog through a session:

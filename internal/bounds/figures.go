@@ -3,8 +3,10 @@ package bounds
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // SInfinity is the sentinel period meaning "non-systolic" (s → ∞) in figure
@@ -59,31 +61,32 @@ type TopologyRow struct {
 // prescribes. Cells are independent optimizations, so they are computed in
 // parallel; the output ordering is deterministic (family, degree, period).
 func Fig5(degrees, periods []int) []TopologyRow {
-	rows := make([]TopologyRow, len(Families)*len(degrees)*len(periods))
-	var wg sync.WaitGroup
-	idx := 0
+	return eachCell(degrees, periods, func(row *TopologyRow) {
+		gen, _ := GeneralHalfDuplex(row.S)
+		spec, _ := SeparatorHalfDuplex(LemmaSeparator(row.Family, row.D), row.S)
+		if spec > gen {
+			row.E, row.Source = spec, "separator"
+		} else {
+			row.E, row.Source = gen, "general"
+		}
+	})
+}
+
+// eachCell lays out one row per (family, degree, period), in that order,
+// and fills each with cell across GOMAXPROCS workers.
+func eachCell(degrees, periods []int, cell func(row *TopologyRow)) []TopologyRow {
+	rows := make([]TopologyRow, 0, len(Families)*len(degrees)*len(periods))
 	for _, f := range Families {
 		for _, d := range degrees {
-			sep := LemmaSeparator(f, d)
 			for _, s := range periods {
-				wg.Add(1)
-				go func(slot int, f Family, d, s int, sep Separator) {
-					defer wg.Done()
-					gen, _ := GeneralHalfDuplex(s)
-					spec, _ := SeparatorHalfDuplex(sep, s)
-					row := TopologyRow{Family: f, D: d, S: s}
-					if spec > gen {
-						row.E, row.Source = spec, "separator"
-					} else {
-						row.E, row.Source = gen, "general"
-					}
-					rows[slot] = row
-				}(idx, f, d, s, sep)
-				idx++
+				rows = append(rows, TopologyRow{Family: f, D: d, S: s})
 			}
 		}
 	}
-	wg.Wait()
+	par.Each(runtime.GOMAXPROCS(0), len(rows), func(_, i int) bool {
+		cell(&rows[i])
+		return true
+	})
 	return rows
 }
 
@@ -92,24 +95,16 @@ func Fig5(degrees, periods []int) []TopologyRow {
 // 1.4404·log₂(n) bound of [4,17,15,26], and the diameter.
 func Fig6(degrees []int) []TopologyRow {
 	genInf, _ := GeneralHalfDuplexInfinity()
-	var rows []TopologyRow
-	for _, f := range Families {
-		for _, d := range degrees {
-			sep := LemmaSeparator(f, d)
-			spec, _ := SeparatorHalfDuplexInfinity(sep)
-			diam := DiameterCoefficient(f, d)
-			row := TopologyRow{Family: f, D: d, S: SInfinity}
-			row.E, row.Source = spec, "separator"
-			if genInf > row.E {
-				row.E, row.Source = genInf, "general"
-			}
-			if diam > row.E {
-				row.E, row.Source = diam, "diameter"
-			}
-			rows = append(rows, row)
+	return eachCell(degrees, []int{SInfinity}, func(row *TopologyRow) {
+		row.E, _ = SeparatorHalfDuplexInfinity(LemmaSeparator(row.Family, row.D))
+		row.Source = "separator"
+		if genInf > row.E {
+			row.E, row.Source = genInf, "general"
 		}
-	}
-	return rows
+		if diam := DiameterCoefficient(row.Family, row.D); diam > row.E {
+			row.E, row.Source = diam, "diameter"
+		}
+	})
 }
 
 // Fig8 regenerates the full-duplex table (Fig. 8) for the given degrees and
@@ -117,41 +112,24 @@ func Fig6(degrees []int) []TopologyRow {
 // full-duplex form, the general full-duplex bound (= broadcasting), and the
 // diameter. Like Fig5 the independent cells are computed in parallel.
 func Fig8(degrees, periods []int) []TopologyRow {
-	rows := make([]TopologyRow, len(Families)*len(degrees)*len(periods))
-	var wg sync.WaitGroup
-	idx := 0
-	for _, f := range Families {
-		for _, d := range degrees {
-			sep := LemmaSeparator(f, d)
-			diam := DiameterCoefficient(f, d)
-			for _, s := range periods {
-				wg.Add(1)
-				go func(slot int, f Family, d, s int, sep Separator, diam float64) {
-					defer wg.Done()
-					var gen, spec float64
-					if s == SInfinity {
-						gen, _ = GeneralFullDuplexInfinity()
-						spec, _ = SeparatorFullDuplexInfinity(sep)
-					} else {
-						gen, _ = GeneralFullDuplex(s)
-						spec, _ = SeparatorFullDuplex(sep, s)
-					}
-					row := TopologyRow{Family: f, D: d, S: s}
-					row.E, row.Source = spec, "separator"
-					if gen > row.E {
-						row.E, row.Source = gen, "general"
-					}
-					if diam > row.E {
-						row.E, row.Source = diam, "diameter"
-					}
-					rows[slot] = row
-				}(idx, f, d, s, sep, diam)
-				idx++
-			}
+	return eachCell(degrees, periods, func(row *TopologyRow) {
+		sep := LemmaSeparator(row.Family, row.D)
+		var gen, spec float64
+		if row.S == SInfinity {
+			gen, _ = GeneralFullDuplexInfinity()
+			spec, _ = SeparatorFullDuplexInfinity(sep)
+		} else {
+			gen, _ = GeneralFullDuplex(row.S)
+			spec, _ = SeparatorFullDuplex(sep, row.S)
 		}
-	}
-	wg.Wait()
-	return rows
+		row.E, row.Source = spec, "separator"
+		if gen > row.E {
+			row.E, row.Source = gen, "general"
+		}
+		if diam := DiameterCoefficient(row.Family, row.D); diam > row.E {
+			row.E, row.Source = diam, "diameter"
+		}
+	})
 }
 
 // FormatFig4 renders a Fig. 4 table in the paper's layout (one row of e(s)

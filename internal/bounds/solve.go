@@ -162,12 +162,14 @@ func STwoFullDuplexLowerBound(n int) int {
 }
 
 // Theorem41LowerBound returns the smallest protocol length t consistent with
-// Theorem 4.1 for an n-vertex network and a norm root λ with ‖M(λ)‖ ≤ 1:
-// the theorem rules out every t with t ≤ log₂(n)/log₂(1/λ) − 2·log₂(t)/log₂(1/λ),
-// so the bound is the smallest t where t > that expression... equivalently
-// the smallest t satisfying t + 2·log₂(t)/log₂(1/λ) > log₂(n)/log₂(1/λ).
-// This is the explicit finite-n form of the asymptotic
-// e·log₂(n) − O(log log n) statements.
+// Theorem 4.1 for an n-vertex network and a norm root λ with ‖M(λ)‖ ≤ 1. A
+// vertex already holds its own item, so the theorem counts the n − 1 items
+// that must reach it over time-respecting paths: it rules out every t with
+// t ≤ log₂(n−1)/log₂(1/λ) − 2·log₂(t)/log₂(1/λ), and the bound is the
+// smallest t satisfying t + 2·log₂(t)/log₂(1/λ) > log₂(n−1)/log₂(1/λ). This
+// is the explicit finite-n form of the asymptotic e·log₂(n) − O(log log n)
+// statements. Counting all n items instead would put K₂ at 2 rounds in full
+// duplex, where one exchange gossips it.
 //
 //gossip:allowpanic domain guard: closed-form bounds run on validated parameters; a violation is a programming error
 func Theorem41LowerBound(n int, lambda float64) int {
@@ -178,7 +180,7 @@ func Theorem41LowerBound(n int, lambda float64) int {
 		panic(fmt.Sprintf("bounds: Theorem41LowerBound needs 0 < λ < 1, got %g", lambda))
 	}
 	logInv := math.Log2(1 / lambda)
-	target := math.Log2(float64(n)) / logInv
+	target := math.Log2(float64(n-1)) / logInv
 	// t grows monotonically past the threshold; scan from 1.
 	for t := 1; ; t++ {
 		if float64(t)+2*math.Log2(float64(t))/logInv > target {

@@ -30,7 +30,8 @@ type PackedFrontier struct {
 // NewPackedFrontier returns a packed frontier for an n-vertex network with
 // no loaded batch; Reset loads one.
 func NewPackedFrontier(n int) *PackedFrontier {
-	return &PackedFrontier{n: n, cur: make([]uint64, n), next: make([]uint64, n)}
+	words := make([]uint64, 2*n) // both buffers in one allocation
+	return &PackedFrontier{n: n, cur: words[:n:n], next: words[n:]}
 }
 
 // Reset loads a batch without reallocating: lane i broadcasts from

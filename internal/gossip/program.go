@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Program is a Protocol compiled for a fixed state shape (n processors,
@@ -305,8 +306,8 @@ func (s *State) StepProgram(pr *Program, i int) {
 	if r < 0 {
 		return
 	}
-	if s.pool != nil {
-		s.pool.stepProgram(s, pr, r)
+	if s.shard != nil {
+		s.shard.step(pr, r)
 		return
 	}
 	for _, sp := range pr.spans[pr.spanStart[r]:pr.spanStart[r+1]] {
@@ -404,15 +405,13 @@ func (s *State) recvFrom(srcArr []uint64, pa graph.PackedArc) (gained int, becam
 	return gained, becameFull
 }
 
-// partition returns the shard plan for a worker count, computing it on
-// first use and memoizing it; concurrent sessions sharing one compiled
-// program therefore pay the partitioning cost once per (program, workers).
+// partition returns the shard plan for a pool's worker count (at least 1),
+// computing it on first use and memoizing it; concurrent sessions sharing
+// one compiled program therefore pay the partitioning cost once per
+// (program, workers).
 //
 //gossip:allowalloc amortized: the shard plan is memoized per (program, workers) and built off the steady-state step loop
 func (pr *Program) partition(workers int) *partition {
-	if workers < 1 {
-		workers = 1
-	}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	if part, ok := pr.parts[workers]; ok {
@@ -509,6 +508,38 @@ func (pr *Program) buildPartition(workers int) *partition {
 	}
 	return part
 }
+
+// sharding steps a State's compiled rounds through a par.Pool. Every word
+// of the state has one writer per phase, so the result is byte-identical to
+// a serial step for any arc set, not just matchings.
+type sharding struct {
+	st    *State
+	pool  *par.Pool
+	run   func(w int) // runShard, bound once so a round allocates nothing
+	prog  *Program    // the program in flight; a session steps one at a time
+	part  *partition  // prog's memoized shard plan
+	r     int
+	phase uint8 // 0: snapshot senders, 1: merge receivers
+}
+
+// step runs one compiled round as a snapshot Run and a merge Run: the
+// barrier between them orders every merge after every snapshot, keeping
+// beginning-of-round semantics. Rounds the compiler proved need no shadow
+// copies (every matching and fully fused round) skip the snapshot.
+func (sh *sharding) step(pr *Program, r int) {
+	if sh.prog != pr {
+		sh.prog, sh.part = pr, pr.partition(sh.pool.Workers())
+	}
+	sh.r, sh.phase = r, 0
+	if pr.spanStart[r] == pr.spanStart[r+1] {
+		sh.phase = 1
+	}
+	for ; sh.phase < 2; sh.phase++ {
+		sh.pool.Run(sh.run)
+	}
+}
+
+func (sh *sharding) runShard(w int) { sh.st.shardCompiled(sh.prog, sh.part, sh.r, sh.phase, w) }
 
 // shardCompiled executes one worker's slice of a compiled round phase. The
 // partition was cut at compile time, so the worker touches only its own

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/protocols"
 	"repro/internal/topology"
 )
@@ -88,7 +89,7 @@ func TestCompiledStepMatchesInterpreted(t *testing.T) {
 		interp := gossip.NewState(n)
 		compiled := gossip.NewState(n)
 		sharded := gossip.NewState(n)
-		pool := gossip.NewPool(1 + rng.Intn(4))
+		pool := par.New(1 + rng.Intn(4))
 		sharded.UsePool(pool)
 
 		bprog, err := gossip.Compile(p, n, 1)
@@ -165,7 +166,7 @@ func TestCompiledArbitraryArcSets(t *testing.T) {
 		interp := gossip.NewState(n)
 		compiled := gossip.NewState(n)
 		sharded := gossip.NewState(n)
-		pool := gossip.NewPool(1 + rng.Intn(4))
+		pool := par.New(1 + rng.Intn(4))
 		sharded.UsePool(pool)
 		for r := 0; r < 3*(len(rs)+1); r++ {
 			interp.Step(p.Round(r))
@@ -224,9 +225,9 @@ func TestCompiledMatchesOnRealTopologies(t *testing.T) {
 			}
 			for workers := 0; workers <= 5; workers++ {
 				st := gossip.NewState(n)
-				var pool *gossip.Pool
+				var pool *par.Pool
 				if workers > 0 {
-					pool = gossip.NewPool(workers)
+					pool = par.New(workers)
 					st.UsePool(pool)
 				}
 				for r := range dumps {
@@ -313,7 +314,7 @@ func TestCompiledStepZeroAlloc(t *testing.T) {
 	}
 
 	sharded := gossip.NewState(n)
-	pool := gossip.NewPool(4)
+	pool := par.New(4)
 	defer pool.Close()
 	sharded.UsePool(pool)
 	r = 0

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // ErrIncomplete is returned when a simulation hits its round budget before
@@ -34,7 +35,7 @@ type State struct {
 	know   int64   // sum of counts
 	full   int64   // vertices with counts == items
 
-	pool *Pool // optional sharded StepProgram; nil means serial
+	shard *sharding // optional sharded StepProgram; nil means serial
 }
 
 func newState(n, items int) *State {
@@ -77,10 +78,17 @@ func NewBroadcastState(n, source int) *State {
 	return s
 }
 
-// UsePool shards subsequent StepProgram calls across the pool's workers;
-// passing nil reverts to serial stepping. Results are identical either
-// way. Step on raw arcs, the serial reference interpreter, ignores it.
-func (s *State) UsePool(p *Pool) { s.pool = p }
+// UsePool shards subsequent StepProgram calls across the pool's workers
+// along the program's compile-time partition; passing nil reverts to serial
+// stepping. Results are identical either way. Step on raw arcs, the serial
+// reference interpreter, ignores it.
+func (s *State) UsePool(p *par.Pool) {
+	s.shard = nil
+	if p != nil {
+		s.shard = &sharding{st: s, pool: p}
+		s.shard.run = s.shard.runShard
+	}
+}
 
 // Reset returns a gossip state (one built by NewState) to its initial
 // "every processor knows exactly its own item" configuration without

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/gossip"
+	"repro/internal/par"
 	"repro/internal/protocols"
 	"repro/internal/topology"
 )
@@ -82,7 +83,7 @@ func BenchmarkCompiledStepSharded(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := gossip.NewState(n)
-	pool := gossip.NewPool(runtime.GOMAXPROCS(0))
+	pool := par.New(runtime.GOMAXPROCS(0))
 	defer pool.Close()
 	st.UsePool(pool)
 	b.ReportAllocs()
@@ -177,7 +178,7 @@ func TestShardedStepMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for workers := 1; workers <= 8; workers++ {
-		pool := gossip.NewPool(workers)
+		pool := par.New(workers)
 		st := gossip.NewState(n)
 		st.UsePool(pool)
 		for r := 0; r < len(serialDumps); r++ {

@@ -54,9 +54,14 @@ func GeneralBound(mode Mode, period int) (e, lambda float64) {
 // n−1 bound of the Section 4 remark. Implicit networks are evaluated from
 // n and the family classification alone — the directed-diameter refinement
 // needs explicit adjacency and is skipped (it only applies to tiny
-// instances anyway).
-func Evaluate(net *Network, req Request) Bound {
+// instances anyway). A period below 2, other than NonSystolic, has no bound
+// in the paper and yields ErrBadParam.
+func Evaluate(net *Network, req Request) (Bound, error) {
 	n := net.N()
+	if req.Period < 2 && req.Period != NonSystolic {
+		return Bound{}, fmt.Errorf("systolic: evaluate on %s: %w: period %d (the bounds cover s ≥ 2 and s → ∞)",
+			net.Name, ErrBadParam, req.Period)
+	}
 	if req.Period == 2 {
 		if req.Mode == gossip.FullDuplex {
 			r := bounds.STwoFullDuplexLowerBound(n)
@@ -68,9 +73,9 @@ func Evaluate(net *Network, req Request) Bound {
 					r = diam
 				}
 			}
-			return Bound{Rounds: r, Source: "s=2 sqrt(n) argument"}
+			return Bound{Rounds: r, Source: "s=2 sqrt(n) argument"}, nil
 		}
-		return Bound{Rounds: bounds.STwoLowerBound(n), Source: "s=2 cycle argument"}
+		return Bound{Rounds: bounds.STwoLowerBound(n), Source: "s=2 cycle argument"}, nil
 	}
 	gen, lam := generalFor(req)
 	best := Bound{Coefficient: gen, Lambda: lam, Source: "general"}
@@ -99,7 +104,7 @@ func Evaluate(net *Network, req Request) Bound {
 			best.Rounds = diam
 		}
 	}
-	return best
+	return best, nil
 }
 
 func ceilLog2(n int) int {

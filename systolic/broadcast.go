@@ -2,13 +2,15 @@ package systolic
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // BroadcastReport compares a measured broadcast time against the
@@ -24,7 +26,20 @@ type BroadcastReport struct {
 	// source).
 	CBound int `json:"c_bound"`
 	// C is the constant c(d) for the network's degree parameter.
-	C float64 `json:"c"`
+	C DegreeConstant `json:"c"`
+}
+
+// DegreeConstant is the broadcasting constant c(d) of a degree parameter d.
+// It is +Inf for d = 1, where broadcasting takes linear rather than
+// logarithmic time; JSON has no infinity, so +Inf encodes as null.
+type DegreeConstant float64
+
+// MarshalJSON implements json.Marshaler.
+func (c DegreeConstant) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(c), 1) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(c))
 }
 
 // AnalyzeBroadcast builds the BFS-tree broadcast schedule from source,
@@ -219,10 +234,7 @@ func pickScanSource(net *Network, nsrc int, cfg config) (useGen bool, err error)
 func scanFootprint(net *Network, nsrc int, cfg config) (genBytes, csrBytes int64) {
 	n := int64(net.N())
 	frontier := 16 * n // two 8-byte knowledge words per vertex
-	workers := int64(cfg.workers)
-	if batches := int64(nsrc+gossip.PackedLanes-1) / int64(gossip.PackedLanes); workers > batches {
-		workers = batches
-	}
+	workers := int64(min(cfg.workers, (nsrc+gossip.PackedLanes-1)/gossip.PackedLanes))
 	genBytes = workers * frontier
 	csrBytes = workers*frontier + 4*(n+1)
 	if net.G != nil {
@@ -246,21 +258,26 @@ func scanSources(net *Network, sources []int) (list []int, explicit bool, err er
 		return nil, false, fmt.Errorf("systolic: broadcast-all on %s: %w: empty source list (omit WithSources to scan every vertex)",
 			net.Name, ErrBadParam)
 	}
-	list = make([]int, len(sources))
-	seen := make(map[int]bool, len(sources))
-	for i, s := range sources {
-		if s < 0 || s >= n {
-			return nil, false, fmt.Errorf("systolic: broadcast-all on %s: %w: source %d outside [0, %d)",
-				net.Name, ErrBadParam, s, n)
+	// A sorted copy is valid exactly when its extremes are in range and it
+	// has no adjacent repeats; only an invalid list pays for the map that
+	// finds the first failure in caller order.
+	list = slices.Clone(sources)
+	slices.Sort(list)
+	if list[0] < 0 || list[len(list)-1] >= n || len(slices.Compact(list)) < len(list) {
+		seen := make(map[int]bool, len(sources))
+		for _, s := range sources {
+			if s < 0 || s >= n {
+				return nil, false, fmt.Errorf("systolic: broadcast-all on %s: %w: source %d outside [0, %d)",
+					net.Name, ErrBadParam, s, n)
+			}
+			if seen[s] {
+				return nil, false, fmt.Errorf("systolic: broadcast-all on %s: %w: duplicate source %d",
+					net.Name, ErrBadParam, s)
+			}
+			seen[s] = true
 		}
-		if seen[s] {
-			return nil, false, fmt.Errorf("systolic: broadcast-all on %s: %w: duplicate source %d",
-				net.Name, ErrBadParam, s)
-		}
-		seen[s] = true
-		list[i] = s
 	}
-	return list, true, nil
+	return append(list[:0], sources...), true, nil
 }
 
 // summarize fills the extremes, the eccentricity statistics and the
@@ -295,13 +312,16 @@ func (r *BroadcastAllReport) summarize(net *Network, sources []int) {
 	bound.Respected = bound.Violations == 0
 	r.Bound = bound
 	r.MeanRounds = float64(sum) / float64(len(r.Rounds))
-	counts := make([]int, r.Worst+1)
+	// Count into one bucket per round value, then compact the empty ones
+	// out in place.
+	hist := make([]RoundsBucket, r.Worst+1)
 	for _, rounds := range r.Rounds {
-		counts[rounds]++
+		hist[rounds].Count++
 	}
-	for rounds, count := range counts {
-		if count > 0 {
-			r.Histogram = append(r.Histogram, RoundsBucket{Rounds: rounds, Count: count})
+	r.Histogram = hist[:0]
+	for rounds, b := range hist {
+		if b.Count > 0 {
+			r.Histogram = append(r.Histogram, RoundsBucket{Rounds: rounds, Count: b.Count})
 		}
 	}
 }
@@ -328,86 +348,72 @@ func errScanUnreachable(net *Network, source, rounds int) error {
 
 // packedScan is the bit-parallel scan over one arc source — the lowered
 // CSR or the network's generator: ⌈sources/64⌉ batches of up to 64
-// sources, claimed in scan order by the worker pool. Batches are
+// sources, claimed in scan order across the workers. Batches are
 // independent, so reports are byte-identical for every worker count; a
 // lone batch leaves all but one worker idle, so it range-shards each step
-// across the pool instead (rangeShards).
+// across a pool instead (floodStep). Claiming stops at the first failing
+// batch and every batch before it runs to completion, so the error that
+// surfaces is the scan-order first.
 func packedScan(ctx context.Context, net *Network, src graph.FloodSource, sources, rounds []int, cfg config) error {
 	n := net.N()
 	batches := (len(sources) + gossip.PackedLanes - 1) / gossip.PackedLanes
-	workers := min(cfg.workers, batches)
-	if workers <= 1 {
-		pf := gossip.NewPackedFrontier(n)
-		step := floodStep(src, n, rangeShards(n, batches, cfg))
-		for b := 0; b < batches; b++ {
-			if err := packedBatch(ctx, net, step, pf, sources, rounds, b, cfg); err != nil {
-				return err
+	type worker struct {
+		pf   *gossip.PackedFrontier
+		step floodStepper
+		b    int // the batch err belongs to
+		err  error
+	}
+	ws := make([]worker, min(cfg.workers, batches))
+	defer func() {
+		for _, wk := range ws {
+			if wk.step != nil {
+				wk.step.close()
 			}
 		}
-		return nil
-	}
-	errs := make([]error, batches)
-	var next, failed atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pf := gossip.NewPackedFrontier(n)
-			step := floodStep(src, n, 1)
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= batches {
-					return
-				}
-				// Batches are claimed in order, so skipping the tail after
-				// a failure can never skip a batch before the failing one:
-				// the error that surfaces is still the scan-order first.
-				if failed.Load() != 0 {
-					return
-				}
-				if errs[b] = packedBatch(ctx, net, step, pf, sources, rounds, b, cfg); errs[b] != nil {
-					failed.Store(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	}()
+	par.Each(len(ws), batches, func(w, b int) bool {
+		wk := &ws[w]
+		if wk.pf == nil {
+			wk.pf, wk.step = gossip.NewPackedFrontier(n), floodStep(src, n, batches, cfg)
+		}
+		wk.b, wk.err = b, packedBatch(ctx, net, wk.step, wk.pf, sources, rounds, b, cfg)
+		return wk.err == nil
+	})
+	var err error
+	first := batches
+	for _, wk := range ws {
+		if wk.err != nil && wk.b < first {
+			first, err = wk.b, wk.err
 		}
 	}
-	return nil
+	return err
 }
 
 // floodStepper advances a packed frontier one flooding round over an arc
 // source, returning the kernel triple (complete, changed, informed) masked
-// to the batch's active lanes.
+// to the batch's active lanes. close releases its workers, if any.
 type floodStepper interface {
 	step(pf *gossip.PackedFrontier) (complete, changed uint64, informed int)
+	close()
 }
 
-// rangeShards is the range-sharding rule of the packed flood step, for any
-// arc source: a single batch on a multi-worker pool splits each round by
-// vertex range once the network clears the shard threshold; otherwise each
-// worker steps whole rounds.
-func rangeShards(n, batches int, cfg config) int {
-	if batches == 1 && cfg.workers > 1 && n >= cfg.shardThreshold {
-		return cfg.workers
+// floodStep builds the stepper over src for one worker of a scan of
+// batches batches. It is the range-sharding rule of the packed flood step,
+// for any arc source: a single batch on a multi-worker scan splits each
+// round into chunk-aligned vertex ranges across cfg.workers once the
+// network clears the shard threshold; otherwise the worker steps whole
+// rounds over [0, n).
+func floodStep(src graph.FloodSource, n, batches int, cfg config) floodStepper {
+	shards := 1
+	if batches == 1 && n >= cfg.shardThreshold {
+		shards = cfg.workers
 	}
-	return 1
-}
-
-// floodStep builds the stepper over src for up to shards concurrent vertex
-// ranges; one shard is the serial round over [0, n).
-func floodStep(src graph.FloodSource, n, shards int) floodStepper {
 	chunks := (n + graph.GenChunkVerts - 1) / graph.GenChunkVerts
 	shards = min(shards, chunks)
 	if shards <= 1 {
 		return &serialFlood{fg: graph.NewFloodGen(src), n: n}
 	}
-	s := &shardedFlood{shards: make([]floodShard, shards)}
+	s := &shardedFlood{shards: make([]floodShard, shards), pool: par.New(shards)}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.fg = graph.NewFloodGen(src)
@@ -431,6 +437,8 @@ func (s *serialFlood) step(pf *gossip.PackedFrontier) (uint64, uint64, int) {
 	return commitRound(pf, and, changed, informed)
 }
 
+func (s *serialFlood) close() {}
+
 // commitRound publishes a stepped round and masks its results to the
 // batch's active lanes.
 func commitRound(pf *gossip.PackedFrontier, and, changed uint64, informed int) (uint64, uint64, int) {
@@ -442,14 +450,13 @@ func commitRound(pf *gossip.PackedFrontier, and, changed uint64, informed int) (
 // shardedFlood steps one flooding round as concurrent vertex ranges:
 // [0, n) splits into chunk-aligned ranges, each with its own FloodGen and
 // all disjoint, so the contract of StepFloodRange holds; the shard triples
-// fold and the round commits once. Everything is allocated up front — a
-// round spawns the bound run method, which allocates nothing.
+// fold and the round commits once. Everything, the pool included, is built
+// up front and lives as long as the scan, so a round allocates nothing.
 type shardedFlood struct {
 	shards []floodShard
+	pool   *par.Pool              // one worker per shard
 	cur    *gossip.PackedFrontier // the frontier of the round in flight
-	claim  atomic.Int32           // next unclaimed shard of the round
-	wg     sync.WaitGroup
-	run    func() // s.stepShard, bound once
+	run    func(w int)            // s.stepShard, bound once
 }
 
 // floodShard is one vertex range of a sharded round and its raw result.
@@ -461,21 +468,14 @@ type floodShard struct {
 	_            [5]uint64 // keep shard results off each other's cache line
 }
 
-func (s *shardedFlood) stepShard() {
-	defer s.wg.Done()
-	sh := &s.shards[s.claim.Add(1)-1]
+func (s *shardedFlood) stepShard(w int) {
+	sh := &s.shards[w]
 	sh.and, sh.changed, sh.informed = s.cur.StepFloodRange(&sh.fg, sh.lo, sh.hi)
 }
 
 func (s *shardedFlood) step(pf *gossip.PackedFrontier) (uint64, uint64, int) {
 	s.cur = pf
-	s.claim.Store(0)
-	s.wg.Add(len(s.shards))
-	for range s.shards[1:] {
-		go s.run()
-	}
-	s.stepShard()
-	s.wg.Wait()
+	s.pool.Run(s.run)
 	and, changed, informed := ^uint64(0), uint64(0), 0
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -485,6 +485,8 @@ func (s *shardedFlood) step(pf *gossip.PackedFrontier) (uint64, uint64, int) {
 	}
 	return commitRound(pf, and, changed, informed)
 }
+
+func (s *shardedFlood) close() { s.pool.Close() }
 
 // packedBatch steps one batch of up to 64 sources to per-lane completion,
 // stall, or the round budget, reproducing the scalar reference's

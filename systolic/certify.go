@@ -87,7 +87,7 @@ type BroadcastBound struct {
 	// Source is the broadcast source vertex.
 	Source int `json:"source"`
 	// C is the asymptotic constant c(d) for the network's degree parameter.
-	C float64 `json:"c"`
+	C DegreeConstant `json:"c"`
 	// CBound is the certified finite-n lower bound on broadcast rounds.
 	CBound int `json:"c_bound"`
 	// Applicable is false when the run was budget-truncated: a prefix
@@ -293,7 +293,8 @@ func floodEccentricityGen(ctx context.Context, net *Network, source int, cfg con
 	if n == 1 {
 		return 0, true, nil
 	}
-	step := floodStep(net.Gen, n, rangeShards(n, 1, cfg))
+	step := floodStep(net.Gen, n, 1, cfg)
+	defer step.close()
 	pf := gossip.NewPackedFrontier(n)
 	pf.Reset([]int{source})
 	for r := 1; r <= cfg.budget; r++ {
@@ -331,6 +332,11 @@ func (s *Session) Certify(ctx context.Context) (*Certificate, error) {
 // analysis it will discard.
 func (s *Session) certifyGossip(ctx context.Context, op string, detailIncomplete bool) (*Certificate, error) {
 	net, p := s.net, s.proto
+	if net.N() < 2 {
+		// Gossip completes at round 0, before any round a delay digraph
+		// or a bound could describe.
+		return nil, fmt.Errorf("systolic: %s %s: %w: gossip needs at least 2 vertices", op, net.Name, ErrBadParam)
+	}
 	res, err := s.Run(ctx)
 	complete := true
 	if err != nil {
@@ -354,7 +360,9 @@ func (s *Session) certifyGossip(ctx context.Context, op string, detailIncomplete
 	if !p.Systolic() {
 		reqPeriod = NonSystolic
 	}
-	cert.LowerBound = Evaluate(net, Request{Mode: p.Mode, Period: reqPeriod})
+	if cert.LowerBound, err = Evaluate(net, Request{Mode: p.Mode, Period: reqPeriod}); err != nil {
+		return nil, fmt.Errorf("systolic: %s %s: %w", op, net.Name, err)
+	}
 
 	dp := s.cfg.delayPlan
 	if dp == nil || !dp.matches(p) {
@@ -405,7 +413,7 @@ func (s *Session) certifyBroadcast(ctx context.Context, op string) (*Certificate
 		}
 		complete = false
 	}
-	var c float64
+	var c DegreeConstant
 	var lb int
 	if net.Implicit() {
 		// No BFS is possible on an implicit network, so the floor keeps its
@@ -437,17 +445,18 @@ func (s *Session) certifyBroadcast(ctx context.Context, op string) (*Certificate
 // broadcastBound evaluates the broadcasting lower bound for a source: the
 // asymptotic constant c(d) with its certified finite-n floor (⌈log₂ n⌉, the
 // knowledge-doubling information bound) raised to the source eccentricity.
-func broadcastBound(net *Network, source int) (c float64, lb int) {
+func broadcastBound(net *Network, source int) (c DegreeConstant, lb int) {
 	return broadcastBoundEcc(net, net.G.Eccentricity(source))
 }
 
 // broadcastBoundEcc is broadcastBound with the eccentricity supplied by the
 // caller — the form implicit certification uses, where the flooding
 // measurement itself is the eccentricity and no BFS is possible.
-func broadcastBoundEcc(net *Network, ecc int) (c float64, lb int) {
-	c = bounds.BroadcastConstant(net.DegreeParam)
-	if !math.IsInf(c, 1) {
-		lb = int(math.Ceil(c * net.LogN() * 0.999999))
+func broadcastBoundEcc(net *Network, ecc int) (c DegreeConstant, lb int) {
+	cd := bounds.BroadcastConstant(net.DegreeParam)
+	c = DegreeConstant(cd)
+	if !math.IsInf(cd, 1) {
+		lb = int(math.Ceil(cd * net.LogN() * 0.999999))
 		// c(d)·log n is asymptotic; the unconditional finite-n facts are
 		// ⌈log₂ n⌉ and the source eccentricity. Use the weakest-safe floor:
 		// ⌈log₂ n⌉ (every round at most doubles the informed set).

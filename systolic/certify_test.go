@@ -38,7 +38,7 @@ func referenceReport(t *testing.T, net *Network, p *Protocol) *Report {
 	if !p.Systolic() {
 		reqPeriod = NonSystolic
 	}
-	rep.LowerBound = Evaluate(net, Request{Mode: p.Mode, Period: reqPeriod})
+	rep.LowerBound = mustEvaluate(t, net, Request{Mode: p.Mode, Period: reqPeriod})
 	dg, err := delay.Build(net.G, p, res.Rounds)
 	if err != nil {
 		t.Fatal(err)

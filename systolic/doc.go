@@ -33,10 +33,10 @@
 //     and skip validate+compile entirely. Knowledge lives in a flat
 //     double-buffered word array — a steady-state Step allocates nothing —
 //     and sessions on networks with at least DefaultShardThreshold vertices
-//     shard each round across a worker pool (WithWorkers), byte-identical
-//     to serial. Session.Frontier reports the per-round newly-informed
-//     counts; NewBroadcastEngine runs broadcasts on a packed
-//     one-bit-per-vertex frontier backend.
+//     shard each round across a worker pool (WithWorkers) that lives as
+//     long as the session, byte-identical to serial. Session.Frontier
+//     reports the per-round newly-informed counts; NewBroadcastEngine runs
+//     broadcasts on a packed one-bit-per-vertex frontier backend.
 //
 //   - A unified certification pipeline. Certify (and Session.Certify) runs
 //     a protocol and returns a typed Certificate: the measured rounds, the
@@ -66,9 +66,10 @@
 //     JSON-serializable and shared by the CLIs, the benchmarks and the
 //     golden tests.
 //
-//   - A parallel sweep engine. SweepStream fans a grid of (topology ×
-//     protocol) evaluations across a worker pool (GOMAXPROCS workers by
-//     default) and streams results as jobs complete; Sweep is its barrier
+//   - A parallel sweep engine. SweepStream claims the jobs of a grid of
+//     (topology × protocol) evaluations in order across GOMAXPROCS workers
+//     by default (WithWorkers overrides) and streams results as jobs
+//     complete; Sweep is its barrier
 //     counterpart, returning results in deterministic job order so parallel
 //     runs are byte-identical to serial ones.
 //

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/gossip"
+	"repro/internal/par"
 	"repro/internal/protocols"
 )
 
@@ -34,7 +35,7 @@ type Session struct {
 	grun      *gossip.GenRun        // generator-program scratch; non-nil streams rounds
 	st        *gossip.State         // gossip backend
 	fr        *gossip.FrontierState // broadcast backend (packed frontier)
-	pool      *gossip.Pool
+	pool      *par.Pool
 
 	budget   int
 	target   int

@@ -12,7 +12,8 @@ var (
 	// not in the registry; the error text lists the registered kinds.
 	ErrUnknownTopology = errors.New("systolic: unknown topology")
 	// ErrBadParam is returned when a topology parameter is missing, out of
-	// range, or would produce an unreasonably large instance.
+	// range, or would produce an unreasonably large instance, and when a
+	// protocol does not fit the network it is asked to run on.
 	ErrBadParam = errors.New("systolic: bad topology parameter")
 	// ErrUnknownProtocol is returned by NewProtocol for a name that is not
 	// in the protocol catalog.

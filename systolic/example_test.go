@@ -11,7 +11,11 @@ import (
 // period 4, Theorem 5.1 beats the general bound.
 func ExampleEvaluate() {
 	net, _ := systolic.New("wbf", systolic.Degree(2), systolic.Diameter(4))
-	b := systolic.Evaluate(net, systolic.Request{Mode: systolic.HalfDuplex, Period: 4})
+	b, err := systolic.Evaluate(net, systolic.Request{Mode: systolic.HalfDuplex, Period: 4})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Printf("coefficient %.4f from the %s bound\n", b.Coefficient, b.Source)
 	// Output:
 	// coefficient 2.0219 from the separator bound

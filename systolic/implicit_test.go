@@ -217,7 +217,7 @@ func TestImplicitGuards(t *testing.T) {
 	}
 	// The bound evaluator degrades gracefully instead of erroring: the
 	// diameter refinement needs adjacency, everything else is n + family.
-	b := Evaluate(net, Request{Mode: HalfDuplex, Period: NonSystolic})
+	b := mustEvaluate(t, net, Request{Mode: HalfDuplex, Period: NonSystolic})
 	if b.Rounds < ceilLog2(net.N()) {
 		t.Errorf("implicit Evaluate rounds = %d, below the information bound", b.Rounds)
 	}

@@ -62,7 +62,7 @@ func TestEvaluateFiniteBoundsNeverExceedOptimalProtocols(t *testing.T) {
 	// Hypercube Q_D: optimal D rounds; bound must be ≤ D and ideally = D.
 	for D := 3; D <= 7; D++ {
 		net, _ := New("hypercube", Dimension(D))
-		b := Evaluate(net, Request{Mode: gossip.FullDuplex, Period: D})
+		b := mustEvaluate(t, net, Request{Mode: gossip.FullDuplex, Period: D})
 		if b.Rounds > D {
 			t.Errorf("Q%d: certified bound %d exceeds optimal %d", D, b.Rounds, D)
 		}
@@ -78,7 +78,7 @@ func TestEvaluateFiniteBoundsNeverExceedOptimalProtocols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := Evaluate(net, Request{Mode: gossip.FullDuplex, Period: p.Period})
+	b := mustEvaluate(t, net, Request{Mode: gossip.FullDuplex, Period: p.Period})
 	if b.Rounds > res.Rounds {
 		t.Errorf("BF(2,3): certified bound %d exceeds a real protocol's %d rounds", b.Rounds, res.Rounds)
 	}
@@ -88,7 +88,7 @@ func TestEvaluateFiniteBoundsNeverExceedOptimalProtocols(t *testing.T) {
 // the certified bound.
 func TestEvaluateDiameterFloor(t *testing.T) {
 	net, _ := New("cycle", Nodes(40))
-	b := Evaluate(net, Request{Mode: gossip.HalfDuplex, Period: 4})
+	b := mustEvaluate(t, net, Request{Mode: gossip.HalfDuplex, Period: 4})
 	if b.Rounds < 20 {
 		t.Errorf("C40 certified bound %d below diameter 20", b.Rounds)
 	}

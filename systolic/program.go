@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Program is a protocol compiled onto a concrete network: the validated
@@ -63,7 +64,7 @@ func CompileProtocol(net *Network, p *Protocol) (*Program, error) {
 		// to the 1-item frontier shape — the CSR twin of the generator path.
 		mp := g.Materialize()
 		if err := mp.Validate(net.G); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("systolic: compile on %s: %w: %w", net.Name, ErrBadParam, err)
 		}
 		net.G.EnsureSorted()
 		prog, err := gossip.Compile(mp, net.G.N(), 1)
@@ -75,8 +76,10 @@ func CompileProtocol(net *Network, p *Protocol) (*Program, error) {
 	if err := net.needG("compile on"); err != nil {
 		return nil, err
 	}
+	// A protocol that does not fit the network (an arc it lacks, a duplex
+	// mode on a one-way digraph) is the caller's pairing: ErrBadParam.
 	if err := p.Validate(net.G); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("systolic: compile on %s: %w: %w", net.Name, ErrBadParam, err)
 	}
 	net.G.EnsureSorted()
 	prog, err := gossip.Compile(p, net.G.N(), net.G.N())
@@ -159,7 +162,7 @@ func NewEngineFromProgram(pr *Program, opts ...Option) (*Session, error) {
 	s.st = gossip.NewState(n)
 	s.target = n * n
 	if cfg.workers > 1 && n >= cfg.shardThreshold {
-		s.pool = gossip.NewPool(cfg.workers)
+		s.pool = par.New(cfg.workers)
 		s.st.UsePool(s.pool)
 	}
 	s.done = s.complete()

@@ -74,9 +74,18 @@ var protocolCatalog = map[string]func(net *Network, budget int) (*Protocol, erro
 		return protocols.PathZigZag(net.G.N()), nil
 	},
 	"cycle2": func(net *Network, _ int) (*Protocol, error) {
+		if n := net.G.N(); n < 4 || n%2 != 0 {
+			return nil, fmt.Errorf("%w: protocol cycle2 on %s needs an even vertex count ≥ 4, got %d",
+				ErrBadParam, net.Name, n)
+		}
 		return protocols.CycleTwoPhase(net.G.N()), nil
 	},
 }
+
+// duplexProtocols are the catalog constructions whose edge colorings and
+// exchanges need every arc's reverse: they reject one-way digraphs.
+var duplexProtocols = map[string]bool{"periodic-half": true, "periodic-full": true,
+	"periodic-interleaved": true, "greedy-half": true, "greedy-full": true}
 
 // ProtocolKinds lists the named protocol constructions in sorted order.
 func ProtocolKinds() []string {
@@ -157,6 +166,9 @@ func NewProtocol(name string, net *Network, budget int) (*Protocol, error) {
 	// least the materialized vertex count the schedule is validated against).
 	if err := net.needG("protocol " + kind + " on"); err != nil {
 		return nil, err
+	}
+	if duplexProtocols[kind] && !net.G.IsSymmetric() {
+		return nil, fmt.Errorf("%w: protocol %s on %s needs a symmetric network", ErrBadParam, kind, net.Name)
 	}
 	return build(net, budget)
 }

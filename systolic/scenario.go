@@ -8,10 +8,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/gossip"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/scenario"
 )
 
@@ -250,36 +250,31 @@ func CertifyScenarioProgram(ctx context.Context, pr *Program, sc *Scenario, tria
 		truncated bool
 	}
 	outcomes := make([]outcome, trials)
-	workers := cfg.workers
-	if workers > trials {
-		workers = trials
+	type worker struct {
+		st *gossip.State
+		tr *scenario.Trial
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			st := gossip.NewState(n)
-			tr := comp.Trial(w)
-			for i := w; i < trials; i += workers {
-				if ctx.Err() != nil {
-					return
-				}
-				tr.Reset(i)
-				if i != w {
-					st.Reset()
-				}
-				done := st.GossipComplete() // n ≤ 1 completes in 0 rounds
-				r := 0
-				for ; r < budget && !done; r++ {
-					tr.Step(st, pr.prog, r)
-					done = st.GossipComplete()
-				}
-				outcomes[i] = outcome{rounds: r, truncated: !done}
-			}
-		}(w)
-	}
-	wg.Wait()
+	ws := make([]worker, min(cfg.workers, trials))
+	par.Each(len(ws), trials, func(w, i int) bool {
+		if ctx.Err() != nil {
+			return false
+		}
+		wk := &ws[w]
+		if wk.st == nil {
+			wk.st, wk.tr = gossip.NewState(n), comp.Trial(i)
+		} else {
+			wk.st.Reset()
+			wk.tr.Reset(i)
+		}
+		done := wk.st.GossipComplete() // n ≤ 1 completes in 0 rounds
+		r := 0
+		for ; r < budget && !done; r++ {
+			wk.tr.Step(wk.st, pr.prog, r)
+			done = wk.st.GossipComplete()
+		}
+		outcomes[i] = outcome{rounds: r, truncated: !done}
+		return true
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("systolic: certify scenario on %s: %w", net.Name, err)
 	}

@@ -197,7 +197,8 @@
 //
 // # Errors
 //
-// Validation failures are 400 with {"error": "..."}; a saturated queue is
+// Validation failures, including a protocol that does not fit the network,
+// are 400 with {"error": "..."}; a saturated queue is
 // 429 (Retry-After: 1); a round budget exceeded synchronously is 422; a
 // draining server answers 503 to computation-starting requests while
 // read-only endpoints keep serving. A computation that panics fails every

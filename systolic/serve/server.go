@@ -307,12 +307,18 @@ func toSweepLine(res systolic.SweepResult) sweepLine {
 	return line
 }
 
+// writeJSON encodes v before writing the header, so a value that cannot be
+// encoded becomes a 500 with an error body instead of an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusInternalServerError
+		// A string map always encodes.
+		body, _ = json.MarshalIndent(map[string]string{"error": "serve: encode response: " + err.Error()}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, err error) {

@@ -834,8 +834,9 @@ func TestHealthzMetricsAndDrain(t *testing.T) {
 // TestPanickingComputeIsContained: a computation that panics fails its
 // requests with ErrInternal (HTTP 500) instead of killing the process —
 // synchronously, through a shared flight and as an async job — the panic
-// is counted, and the server keeps serving. The doubling request that used
-// to crash gossipd is now rejected up front as a bad parameter (400).
+// is counted, and the server keeps serving. The doubling and cycle2
+// requests that used to crash gossipd are now rejected up front as bad
+// parameters (400).
 func TestPanickingComputeIsContained(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	client := ts.Client()
@@ -859,16 +860,30 @@ func TestPanickingComputeIsContained(t *testing.T) {
 	}
 	healthy()
 
-	// cycle2 on a 3-vertex path still reaches a panicking construction.
 	cycle2 := AnalyzeRequest{Kind: "path", Params: map[string]int{"nodes": 3}, Protocol: "cycle2"}
 	resp = postJSON(t, client, ts.URL+"/v1/analyze", cycle2)
+	body = decodeBody[map[string]string](t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], "even vertex count") {
+		t.Fatalf("cycle2 on a 3-vertex path: status %d body %v, want 400 naming the precondition", resp.StatusCode, body)
+	}
+	healthy()
+
+	// No request reaches a panicking construction any more, so poison the
+	// program cache: a compute on this key panics on the cached entry.
+	poisoned := AnalyzeRequest{Kind: "path", Params: map[string]int{"nodes": 4}, Protocol: "zigzag"}
+	n, err := normalizeAnalyze(poisoned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.programs.add(n.progKey, "not a compiled program")
+	resp = postJSON(t, client, ts.URL+"/v1/analyze", poisoned)
 	body = decodeBody[map[string]string](t, resp)
 	if resp.StatusCode != http.StatusInternalServerError || !strings.HasPrefix(body["error"], ErrInternal.Error()+": ") {
 		t.Fatalf("panicking compute: status %d body %v, want 500 carrying the panic", resp.StatusCode, body)
 	}
 	healthy()
 
-	resp = postJSON(t, client, ts.URL+"/v1/analyze?async=true", cycle2)
+	resp = postJSON(t, client, ts.URL+"/v1/analyze?async=true", poisoned)
 	accepted := decodeBody[struct {
 		ID string `json:"id"`
 	}](t, resp)

@@ -2,7 +2,9 @@ package systolic
 
 import (
 	"context"
-	"sync"
+	"runtime"
+
+	"repro/internal/par"
 )
 
 // SweepJob is one cell of a sweep grid: a topology instance (kind + named
@@ -50,41 +52,20 @@ type SweepResult struct {
 func SweepStream(ctx context.Context, jobs []SweepJob, opts ...Option) <-chan SweepResult {
 	cfg := newConfig(opts)
 	out := make(chan SweepResult, len(jobs))
-	workers := cfg.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				res := SweepResult{Index: i, Label: jobs[i].Label}
-				runSweepJob(ctx, jobs[i], &res, cfg)
-				out <- res
-			}
-		}()
-	}
-	go func() {
-		defer close(out)
-	feed:
-		for i := range jobs {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				// Emit every job the feeder never handed out; workers finish
-				// whatever they already started.
-				for j := i; j < len(jobs); j++ {
-					out <- SweepResult{Index: j, Label: jobs[j].Label, Err: ctx.Err()}
-				}
-				break feed
-			}
+	par.EachAsync(cfg.workers, len(jobs), func(_, i int) bool {
+		res := SweepResult{Index: i, Label: jobs[i].Label}
+		if err := ctx.Err(); err != nil {
+			// Cancelled before this job started: emit it unrun.
+			res.Err = err
+		} else {
+			runSweepJob(ctx, jobs[i], &res, cfg)
 		}
-		close(idx)
-		wg.Wait()
-	}()
+		out <- res
+		// The send never blocks, so yield: a consumer woken by it runs
+		// (and may cancel) before this worker starts another job.
+		runtime.Gosched()
+		return true
+	}, func() { close(out) })
 	return out
 }
 

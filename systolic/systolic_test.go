@@ -104,7 +104,7 @@ func TestFamilyClassification(t *testing.T) {
 func TestEvaluateGeneralVsSeparator(t *testing.T) {
 	// WBF(2,D) at s=4 must use the separator bound 2.0218 > general 1.8133.
 	w, _ := New("wbf", Degree(2), Diameter(4))
-	b := Evaluate(w, Request{Mode: gossip.HalfDuplex, Period: 4})
+	b := mustEvaluate(t, w, Request{Mode: gossip.HalfDuplex, Period: 4})
 	if b.Source != "separator" {
 		t.Errorf("WBF s=4 source = %s, want separator", b.Source)
 	}
@@ -113,7 +113,7 @@ func TestEvaluateGeneralVsSeparator(t *testing.T) {
 	}
 	// A path has no family: always the general bound.
 	p, _ := New("path", Nodes(16))
-	bp := Evaluate(p, Request{Mode: gossip.HalfDuplex, Period: 4})
+	bp := mustEvaluate(t, p, Request{Mode: gossip.HalfDuplex, Period: 4})
 	if bp.Source != "general" {
 		t.Errorf("path source = %s", bp.Source)
 	}
@@ -121,7 +121,7 @@ func TestEvaluateGeneralVsSeparator(t *testing.T) {
 
 func TestEvaluateSTwo(t *testing.T) {
 	c, _ := New("cycle", Nodes(10))
-	b := Evaluate(c, Request{Mode: gossip.HalfDuplex, Period: 2})
+	b := mustEvaluate(t, c, Request{Mode: gossip.HalfDuplex, Period: 2})
 	if b.Rounds != 9 {
 		t.Errorf("s=2 bound = %d rounds, want n-1 = 9", b.Rounds)
 	}
@@ -129,13 +129,13 @@ func TestEvaluateSTwo(t *testing.T) {
 
 func TestEvaluateFullDuplex(t *testing.T) {
 	db, _ := New("debruijn", Degree(2), Diameter(5))
-	b := Evaluate(db, Request{Mode: gossip.FullDuplex, Period: 4})
+	b := mustEvaluate(t, db, Request{Mode: gossip.FullDuplex, Period: 4})
 	if b.Coefficient <= 0 {
 		t.Error("full-duplex bound not positive")
 	}
 	// Non-systolic full-duplex on de Bruijn: diameter coefficient
 	// 1/log2(d) = 1 competes with separator/general values.
-	binf := Evaluate(db, Request{Mode: gossip.FullDuplex, Period: NonSystolic})
+	binf := mustEvaluate(t, db, Request{Mode: gossip.FullDuplex, Period: NonSystolic})
 	if binf.Coefficient < 1 {
 		t.Errorf("full-duplex non-systolic coefficient = %g < diameter", binf.Coefficient)
 	}
@@ -147,7 +147,7 @@ func TestEvaluateRoundsPositive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := Evaluate(net, Request{Mode: gossip.HalfDuplex, Period: 6})
+		b := mustEvaluate(t, net, Request{Mode: gossip.HalfDuplex, Period: 6})
 		if b.Rounds <= 0 {
 			t.Errorf("%s: rounds bound = %d", kind, b.Rounds)
 		}
